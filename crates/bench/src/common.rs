@@ -15,6 +15,13 @@ use clobber_pmem::{PmemPool, PoolOptions, StatsSnapshot, Trace, Tracer};
 use clobber_sim::{CostModel, LockRequest, OpSource, SimOp};
 use clobber_workloads::{KvOp, Workload, WorkloadKind};
 
+/// Modelled bytes of metadata a PMDK-style undo log persists per entry on
+/// top of the payload: an address, a length and a checksum word, 8 bytes
+/// each. The figures charge every system this same per-entry cost, so
+/// their log-byte columns compare like with like whatever layout this
+/// repository's own log uses.
+pub const PMDK_ENTRY_OVERHEAD: u64 = 24;
+
 /// Experiment scale: quick (CI/Criterion) or full (the `repro` binary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -387,11 +394,11 @@ impl PerTx {
     }
 
     /// Bytes persisted *to the log region* per transaction: payload plus
-    /// the per-entry metadata (address/length/checksum) every log write
-    /// carries — the apples-to-apples quantity for cross-system byte
+    /// the modelled per-entry metadata ([`PMDK_ENTRY_OVERHEAD`]) every log
+    /// write carries — the apples-to-apples quantity for cross-system byte
     /// comparisons.
     pub fn persisted_log_bytes(&self) -> f64 {
-        self.total_bytes() + self.log_entries * clobber_pmem::ulog::ENTRY_OVERHEAD as f64
+        self.total_bytes() + self.log_entries * PMDK_ENTRY_OVERHEAD as f64
     }
 }
 

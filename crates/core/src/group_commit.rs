@@ -12,9 +12,10 @@
 //! ordering requests join the current *epoch*; one requester is elected
 //! leader, issues the pool fence on everyone's behalf, and completes the
 //! epoch; followers block until their epoch completes. With
-//! `min_batch == 1` (the default) a lone requester is immediately its own
-//! leader — the protocol degenerates to a plain `pool.fence()` with no
-//! extra persist events, so single-threaded fence pins are unchanged.
+//! `min_batch == 1` (the default) every request is its own epoch — a plain
+//! `pool.fence()` with no extra persist events and no coalescing, even
+//! when other threads request ordering at the same time — so fence pins
+//! are unchanged and a per-transaction fencing baseline stays exact.
 //! `min_batch = K > 1` makes the coalescing deterministic for tests: an
 //! epoch only closes once `K` requesters have joined, so exactly one fence
 //! is issued per `K` requests (callers must guarantee `K` threads keep
@@ -91,11 +92,19 @@ impl GroupCommit {
     }
 
     /// Requests ordering: returns once a pool fence has been issued after
-    /// this call joined its epoch. With `min_batch == 1` and no concurrent
-    /// requesters this issues exactly one `pool.fence()` inline.
+    /// this call joined its epoch. With `min_batch == 1` this issues
+    /// exactly one `pool.fence()` inline.
     pub fn fence(&self, pool: &PmemPool) {
         let mut st = self.state.lock();
         let my_epoch = st.epoch;
+        if self.min_batch == 1 {
+            // One epoch per request. Fencing under the state lock keeps
+            // epoch numbers in fence (and trace) order across threads.
+            st.epoch = my_epoch + 1;
+            Self::close_epoch(pool, my_epoch, 1);
+            st.completed = my_epoch;
+            return;
+        }
         st.waiters += 1;
         loop {
             if st.completed >= my_epoch {
@@ -110,13 +119,7 @@ impl GroupCommit {
                 st.waiters = 0;
                 st.epoch = my_epoch + 1;
                 drop(st);
-                pool.trace_app_event(EventKind::GroupCommitEpoch, 0, my_epoch, batch);
-                pool.fence();
-                let stats = pool.stats();
-                stats.gc_epochs.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .gc_fences_saved
-                    .fetch_add(batch - 1, Ordering::Relaxed);
+                Self::close_epoch(pool, my_epoch, batch);
                 st = self.state.lock();
                 st.completed = my_epoch;
                 st.leading = false;
@@ -127,6 +130,17 @@ impl GroupCommit {
             // std's `Condvar` pairs with it directly.
             st = self.cond.wait(st).expect("group-commit mutex poisoned");
         }
+    }
+
+    /// Issues the one fence of `epoch` on behalf of `batch` requesters.
+    fn close_epoch(pool: &PmemPool, epoch: u64, batch: u64) {
+        pool.trace_app_event(EventKind::GroupCommitEpoch, 0, epoch, batch);
+        pool.fence();
+        let stats = pool.stats();
+        stats.gc_epochs.fetch_add(1, Ordering::Relaxed);
+        stats
+            .gc_fences_saved
+            .fetch_add(batch - 1, Ordering::Relaxed);
     }
 }
 

@@ -67,7 +67,10 @@
 //!   [`RecoveryPolicy::BestEffort`] instead *quarantines* that slot —
 //!   records it in [`RecoveryReport::quarantined`] with a typed
 //!   [`SlotQuarantineKind`] and moves on, so one decayed slot cannot hold
-//!   the rest of the pool hostage.
+//!   the rest of the pool hostage. A quarantined slot is left exactly as
+//!   the crash left it: neither rolled back nor re-executed, and still
+//!   ongoing, so whatever of its stores reached media stands until a later
+//!   scan repairs it.
 //! * **Retry.** Transient substrate faults
 //!   ([`TxError::is_transient`]) retry the slot with bounded exponential
 //!   backoff, slept on the options' [`RecoveryClock`] (tests inject

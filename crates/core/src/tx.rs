@@ -169,8 +169,8 @@ pub struct Tx<'rt> {
     backend: Backend,
     pub(crate) slot: VlogSlot,
     /// Volatile append cursor over the slot's clobber/undo log: caches the
-    /// log position (satellite: no per-append tail re-read) and, on v2
-    /// logs, stages entries in its line buffer.
+    /// log position (no per-append re-read) and stages entries in its line
+    /// buffer.
     pub(crate) clog: LogWriter,
     pub(crate) rlog: Ulog,
     /// All of this transaction's ordering fences route through the
@@ -578,10 +578,9 @@ impl<'rt> Tx<'rt> {
         if appended {
             // The undo invariant: the old values must be durable before the
             // clobbering store can reach media (an unflushed store can
-            // still leak to media at a crash). On a v2 log this is the
-            // deferred ordering point — one fence covering every line flush
-            // since the last sync; on v1 the appends already fenced and
-            // this is a no-op.
+            // still leak to media at a crash). This is the deferred
+            // ordering point — one fence covering every line flush since
+            // the last sync.
             let gc = self.gc;
             self.clog.sync_with(self.pool, |p| gc.fence(p))?;
             // Recovery replays persist a progress checkpoint at each sync:
@@ -823,21 +822,17 @@ impl<'rt> Tx<'rt> {
                     items.iter().map(|(_, d)| d.len() as u64).sum::<u64>(),
                     std::sync::atomic::Ordering::Relaxed,
                 );
-                match self.rlog.stored_format(pool)? {
-                    clobber_pmem::LogFormat::V2 => {
-                        // Line-buffered batch: stream the entries through a
-                        // writer and route the single ordering point
-                        // through group commit.
-                        let mut rw = LogWriter::attach(pool, self.rlog)?;
-                        for (addr, data) in &items {
-                            rw.append(pool, *addr, data)?;
-                        }
-                        rw.sync_with(pool, |p| gc.fence(p))?;
-                    }
-                    clobber_pmem::LogFormat::V1 => {
-                        self.rlog.append_batch(pool, &items)?; // one fence
-                    }
+                // Line-buffered batch: stream the entries through a writer
+                // and route the single ordering point through group commit.
+                // `check_magic` repeats a header read `attach` also makes;
+                // it stays so this path's pool-read count, which counter
+                // comparisons across versions rely on, does not shift.
+                self.rlog.check_magic(pool)?;
+                let mut rw = LogWriter::attach(pool, self.rlog)?;
+                for (addr, data) in &items {
+                    rw.append(pool, *addr, data)?;
                 }
+                rw.sync_with(pool, |p| gc.fence(p))?;
                 pool.publish(&self.scratch.allocs)?;
                 // Commit point.
                 self.slot

@@ -13,8 +13,7 @@ use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, TxError};
 use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, LogFormat, PAddr, PmemPool, PoolConcurrency, PoolMode,
-    PoolOptions,
+    CacheImpl, CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
 };
 
 /// Number of bank accounts in the sweep workload.
@@ -54,17 +53,9 @@ pub fn total(pool: &PmemPool, base: PAddr) -> u64 {
 
 /// Small log capacities keep each replayed pool cheap to create.
 fn sweep_options(backend: Backend) -> RuntimeOptions {
-    sweep_options_fmt(backend, LogFormat::V2)
-}
-
-/// [`sweep_options`] with an explicit on-media log format, so the same
-/// sweep pipeline covers both the v1 word-stream and the v2 line-buffered
-/// layout.
-fn sweep_options_fmt(backend: Backend, format: LogFormat) -> RuntimeOptions {
     let mut opts = RuntimeOptions::new(backend);
     opts.clobber_log_cap = 32 << 10;
     opts.redo_log_cap = 32 << 10;
-    opts.log_format = format;
     opts
 }
 
@@ -81,18 +72,9 @@ pub fn setup_with(
     backend: Backend,
     concurrency: PoolConcurrency,
 ) -> (Arc<PmemPool>, Runtime, PAddr) {
-    setup_fmt(backend, concurrency, LogFormat::V2)
-}
-
-/// [`setup_with`] under an explicit log format.
-pub fn setup_fmt(
-    backend: Backend,
-    concurrency: PoolConcurrency,
-    format: LogFormat,
-) -> (Arc<PmemPool>, Runtime, PAddr) {
     let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(concurrency);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
-    let rt = Runtime::create(pool.clone(), sweep_options_fmt(backend, format)).unwrap();
+    let rt = Runtime::create(pool.clone(), sweep_options(backend)).unwrap();
     register_transfer(&rt);
     let base = pool.alloc(ACCOUNTS * 8).unwrap();
     for i in 0..ACCOUNTS {
@@ -114,23 +96,11 @@ pub fn reopen_with(
     backend: Backend,
     concurrency: PoolConcurrency,
 ) -> (Arc<PmemPool>, Runtime) {
-    reopen_fmt(media, backend, concurrency, LogFormat::V2)
-}
-
-/// [`reopen_with`] under an explicit log format (for *new* slots — existing
-/// slots keep the stored format of their logs; that cross-open is the
-/// point of the format-mixing sweeps).
-pub fn reopen_fmt(
-    media: Vec<u8>,
-    backend: Backend,
-    concurrency: PoolConcurrency,
-    format: LogFormat,
-) -> (Arc<PmemPool>, Runtime) {
     let pool = Arc::new(
         PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
             .unwrap(),
     );
-    let rt = Runtime::open(pool.clone(), sweep_options_fmt(backend, format)).unwrap();
+    let rt = Runtime::open(pool.clone(), sweep_options(backend)).unwrap();
     register_transfer(&rt);
     (pool, rt)
 }
@@ -160,16 +130,7 @@ pub fn count_script_events(backend: Backend) -> u64 {
 
 /// [`count_script_events`] on a pool with the given concurrency mode.
 pub fn count_script_events_with(backend: Backend, concurrency: PoolConcurrency) -> u64 {
-    count_script_events_fmt(backend, concurrency, LogFormat::V2)
-}
-
-/// [`count_script_events_with`] under an explicit log format.
-pub fn count_script_events_fmt(
-    backend: Backend,
-    concurrency: PoolConcurrency,
-    format: LogFormat,
-) -> u64 {
-    let (pool, rt, base) = setup_fmt(backend, concurrency, format);
+    let (pool, rt, base) = setup_with(backend, concurrency);
     pool.arm_faults(FaultPlan::count_only());
     run_script(&rt, base).expect("count run must not fail");
     let n = pool.disarm_faults();
@@ -228,11 +189,10 @@ fn recover_and_check(
     media: Vec<u8>,
     backend: Backend,
     concurrency: PoolConcurrency,
-    format: LogFormat,
     ctx: &str,
     summary: &mut SweepSummary,
 ) {
-    let (pool, rt) = reopen_fmt(media, backend, concurrency, format);
+    let (pool, rt) = reopen_with(media, backend, concurrency);
     let report = rt
         .recover_with(&sweep_recover_opts())
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
@@ -265,8 +225,8 @@ fn recover_and_check(
 
 /// Runs the script to event `k`, trips, takes a `drop_all` power failure,
 /// and returns the surviving media.
-fn crash_at(backend: Backend, concurrency: PoolConcurrency, format: LogFormat, k: u64) -> Vec<u8> {
-    let (pool, rt, base) = setup_fmt(backend, concurrency, format);
+fn crash_at(backend: Backend, concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
+    let (pool, rt, base) = setup_with(backend, concurrency);
     pool.arm_faults(FaultPlan::crash_at(k));
     // A trip on a trailing fence can leave the script completing Ok; any
     // other trip surfaces as an error. Both are valid crash points.
@@ -298,28 +258,14 @@ pub fn sweep_with(
     nested: Nested,
     concurrency: PoolConcurrency,
 ) -> SweepSummary {
-    sweep_fmt(backend, stride, nested, concurrency, LogFormat::V2)
-}
-
-/// [`sweep_with`] under an explicit on-media log format: every pool in the
-/// pipeline (workload, recovery, nested recovery) formats its logs as
-/// `format`, so the full crash-point sweep covers the v1 word stream and
-/// the v2 line-buffered layout alike.
-pub fn sweep_fmt(
-    backend: Backend,
-    stride: u64,
-    nested: Nested,
-    concurrency: PoolConcurrency,
-    format: LogFormat,
-) -> SweepSummary {
     assert!(stride > 0);
     let mut summary = SweepSummary {
-        events: count_script_events_fmt(backend, concurrency, format),
+        events: count_script_events_with(backend, concurrency),
         ..SweepSummary::default()
     };
     let mut k = 0;
     while k < summary.events {
-        let media = crash_at(backend, concurrency, format, k);
+        let media = crash_at(backend, concurrency, k);
         summary.crash_points += 1;
 
         // Plain recovery from this crash point.
@@ -327,14 +273,13 @@ pub fn sweep_fmt(
             media.clone(),
             backend,
             concurrency,
-            format,
             &format!("k={k}"),
             &mut summary,
         );
 
         if nested != Nested::Off {
             // Count recovery's own persist events from identical media.
-            let (pool_m, rt_m) = reopen_fmt(media.clone(), backend, concurrency, format);
+            let (pool_m, rt_m) = reopen_with(media.clone(), backend, concurrency);
             pool_m.arm_faults(FaultPlan::count_only());
             rt_m.recover_with(&sweep_recover_opts()).unwrap();
             let m = pool_m.disarm_faults();
@@ -346,7 +291,7 @@ pub fn sweep_fmt(
                 Nested::Exhaustive => (0..m).collect(),
             };
             for j in js {
-                let (pool_n, rt_n) = reopen_fmt(media.clone(), backend, concurrency, format);
+                let (pool_n, rt_n) = reopen_with(media.clone(), backend, concurrency);
                 pool_n.arm_faults(FaultPlan::crash_at(j));
                 // Recovery dies at event j (a trip on recovery's final
                 // fence may still let it return Ok — also a valid point).
@@ -360,7 +305,6 @@ pub fn sweep_fmt(
                     media2,
                     backend,
                     concurrency,
-                    format,
                     &format!("k={k} nested j={j}"),
                     &mut summary,
                 );
@@ -537,22 +481,32 @@ pub fn register_parked_plain(rt: &Runtime) {
     });
 }
 
-/// Captures crashed media holding **two** genuinely concurrent interrupted
-/// transfers, one per v_log slot: `assignments[i] = (from, to, amount)` runs
-/// on slot `i`. Each worker parks inside its txfunc after both writes; the
-/// main thread then takes an adversarial crash snapshot and releases them.
+/// Captures crashed media holding **two** concurrent interrupted transfers,
+/// one per v_log slot: `assignments[i] = (from, to, amount)` runs on slot
+/// `i`. Each worker parks inside its txfunc after both writes; the main
+/// thread then takes an adversarial crash snapshot and releases them.
 pub fn two_parked_transfers(backend: Backend, assignments: [(u64, u64, u64); 2]) -> Vec<u8> {
     parked_transfers(backend, &assignments)
 }
 
 /// Generalization of [`two_parked_transfers`] to any number of slots: one
 /// parked transfer per assignment, crashed while all of them are mid-flight.
+///
+/// The transfers reach their park point one at a time, in slot order (a
+/// turnstile): slot `i` starts only after slot `i - 1` has made both of its
+/// writes. Recovery relies on the locking discipline for the order of
+/// conflicting transactions and replays overlapping slots in slot-id
+/// order, so slots that share an account must have run in that order. The
+/// turnstile also makes the crash image independent of thread scheduling:
+/// each slot's own second log fence persists its debit, and the next
+/// slot's first log fence persists its credit, so every slot but the last
+/// is durable whole and the last keeps only its debit.
 pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Vec<u8> {
     let (pool, rt, base) = setup(backend);
-    let rendezvous = Arc::new(Barrier::new(assignments.len() + 1));
+    let parked = Arc::new(Barrier::new(2));
     let release = Arc::new(Barrier::new(assignments.len() + 1));
     {
-        let (rendezvous, release) = (rendezvous.clone(), release.clone());
+        let (parked, release) = (parked.clone(), release.clone());
         rt.register("parked_transfer", move |tx, args| {
             let base = PAddr::new(args.u64(0)?);
             let from = args.u64(1)?;
@@ -562,7 +516,7 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
             tx.write_u64(base.add(from * 8), from_bal - amount)?;
             let to_bal = tx.read_u64(base.add(to * 8))?;
             tx.write_u64(base.add(to * 8), to_bal + amount)?;
-            rendezvous.wait(); // both writes logged and in flight
+            parked.wait(); // both writes logged and in flight
             release.wait(); // hold until the snapshot is taken
             Ok(None)
         });
@@ -575,8 +529,8 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
                 rt.run_on(slot, "parked_transfer", &transfer_args(base, step))
                     .unwrap();
             });
+            parked.wait(); // turnstile: the next slot starts after this one parks
         }
-        rendezvous.wait();
         media = Some(
             pool.crash(&CrashConfig::drop_all(77))
                 .unwrap()

@@ -11,12 +11,12 @@
 mod common;
 
 use common::{
-    register_parked_plain, register_transfer, reopen, sweep, sweep_fmt, sweep_regrow, sweep_with,
-    total, two_parked_transfers, Nested, SweepSummary, ACCOUNTS, INITIAL,
+    register_parked_plain, register_transfer, reopen, sweep, sweep_regrow, sweep_with, total,
+    two_parked_transfers, Nested, SweepSummary, ACCOUNTS, INITIAL,
 };
 
 use clobber_nvm::{Backend, RecoveryOptions, SlotQuarantineKind, TxError};
-use clobber_pmem::{FaultPlan, LogFormat, PmemError, PoolConcurrency};
+use clobber_pmem::{FaultPlan, PmemError, PoolConcurrency};
 
 /// Stride between swept crash points. Release builds (and
 /// `CLOBBER_FULL_SWEEP=1`) visit every event; plain debug-mode
@@ -91,39 +91,6 @@ fn sweep_clobber_sharded_matches_global_lock() {
     }
 }
 
-/// The default runtime now formats its logs as v2 (line-buffered), so the
-/// sweeps above already crash the v2 layout at every swept persist event.
-/// This keeps the v1 word-stream covered too: the same full
-/// crash → recover → nested-recover pipeline with every log formatted v1,
-/// at the single-lock and sharded engines — v1 images must stay exactly as
-/// durable as before the format bump.
-#[test]
-fn sweep_clobber_v1_format_across_shard_counts() {
-    let stride = smoke_stride();
-    let reference = sweep_fmt(
-        Backend::clobber(),
-        stride,
-        Nested::Rotating,
-        PoolConcurrency::GlobalLock,
-        LogFormat::V1,
-    );
-    assert_covered(&reference, "clobber/v1");
-    assert!(
-        reference.reexecuted + reference.abandoned > 0,
-        "v1 sweep should recover by re-execution: {reference:?}"
-    );
-    for shards in [1u32, 4] {
-        let s = sweep_fmt(
-            Backend::clobber(),
-            stride,
-            Nested::Rotating,
-            PoolConcurrency::Sharded { shards },
-            LogFormat::V1,
-        );
-        assert_eq!(s, reference, "v1 sharded({shards}) sweep diverged");
-    }
-}
-
 /// Satellite 3 (torn line): a v2 line whose marker word is torn must be
 /// detected by the self-validating marker and dropped — together with every
 /// entry at or past it — instead of being replayed as garbage. The crash
@@ -151,9 +118,9 @@ fn torn_v2_marker_drops_the_line_and_recovery_conserves() {
     );
 
     // Recovery sees an empty clobber log for slot 0: nothing to restore,
-    // but the begin record still re-executes the transaction. The
-    // adversarial crash dropped the un-fenced clobbering stores, so
-    // re-execution from pristine inputs conserves.
+    // but the begin record still re-executes the transaction on whatever
+    // inputs are on media. A transfer conserves the total whatever it
+    // reads, so the sum holds.
     let report = rt.recover().unwrap();
     assert_eq!(report.reexecuted.len(), 2, "{report:?}");
     let base = rt.app_root().unwrap();

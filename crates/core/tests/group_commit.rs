@@ -4,9 +4,8 @@
 //! runtime's [`GroupCommit`] coalescer, so concurrent committers share one
 //! pool fence per epoch. These tests pin the fence-count reduction the
 //! perf work claims (the acceptance bar: ≥2× fewer fences with 4
-//! concurrent committers), the exact epoch bookkeeping, the line-buffer
-//! flush savings at the runtime level, and the trace visibility of epoch
-//! boundaries.
+//! concurrent committers), the exact epoch bookkeeping, and the trace
+//! visibility of epoch boundaries.
 
 mod common;
 
@@ -14,9 +13,9 @@ use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions};
 use clobber_pmem::{
-    EventKind, LogFormat, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot, Tracer,
+    EventKind, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot, Tracer,
 };
-use common::{run_script, setup, SCRIPT};
+use common::{run_script, setup};
 
 const THREADS: u64 = 4;
 const ROUNDS: u64 = 8;
@@ -162,54 +161,4 @@ fn group_commit_epochs_appear_in_traces() {
         assert_eq!(e.a, i as u64 + 1, "epoch numbers count up from 1");
         assert_eq!(e.b, 1, "no concurrency: every epoch has one committer");
     }
-}
-
-/// Runtime-level flush amortization: the same script under the v2
-/// line-buffered writer issues strictly fewer clobber-log flushes than
-/// under the v1 per-entry layout, at identical fence counts and identical
-/// logged bytes — the cache-line buffer only batches, it never reorders or
-/// drops.
-#[test]
-fn line_buffer_cuts_clog_flushes_at_equal_fences() {
-    let run = |format: LogFormat| {
-        let (pool, rt, base) =
-            common::setup_fmt(Backend::clobber(), PoolConcurrency::GlobalLock, format);
-        let before = pool.stats().snapshot();
-        run_script(&rt, base).unwrap();
-        pool.stats().snapshot().delta(&before)
-    };
-    let v1 = run(LogFormat::V1);
-    let v2 = run(LogFormat::V2);
-
-    assert!(v1.clog_flushes > 0 && v2.clog_flushes > 0);
-    assert!(
-        v2.clog_flushes < v1.clog_flushes,
-        "v2 must flush less: v2 {} vs v1 {}",
-        v2.clog_flushes,
-        v1.clog_flushes
-    );
-    assert_eq!(
-        v2.clog_fences, v1.clog_fences,
-        "buffering must not change ordering points"
-    );
-    assert_eq!(v2.fences, v1.fences, "total fences agree across formats");
-    // Redo machinery stays silent under the clobber backend either way.
-    assert_eq!((v2.rlog_flushes, v2.rlog_fences), (0, 0));
-    // The workload itself is format-independent: same entries, same bytes.
-    assert_eq!(v2.log_entries, v1.log_entries);
-    assert_eq!(v2.log_bytes, v1.log_bytes);
-    assert!(v2.log_entries >= SCRIPT.len() as u64);
-
-    // EXPERIMENTS.md raw numbers (visible with --nocapture).
-    println!(
-        "log-format A/B over the {}-tx script: v1 clog flushes={} fences={}, \
-         v2 clog flushes={} fences={}, total fences v1={} v2={}",
-        SCRIPT.len(),
-        v1.clog_flushes,
-        v1.clog_fences,
-        v2.clog_flushes,
-        v2.clog_fences,
-        v1.fences,
-        v2.fences
-    );
 }

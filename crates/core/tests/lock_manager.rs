@@ -274,16 +274,15 @@ fn locked_committers_beat_the_group_commit_baseline() {
         "{batched:?}"
     );
     // Both runs issue the same fence requests; each request either opens
-    // an epoch or piggybacks on one. With min_batch=1 a racing committer
-    // can still occasionally join a leader's open epoch, so bound the
-    // solo run's coalescing as rare rather than pinning it to zero.
+    // an epoch or piggybacks on one. min_batch=1 never coalesces, even
+    // with racing committers.
     assert_eq!(
         solo.gc_epochs + solo.gc_fences_saved,
         GC_THREADS * batched.gc_epochs
     );
-    assert!(
-        solo.gc_fences_saved * 8 < solo.gc_epochs,
-        "min_batch=1 coalescing must stay incidental: {solo:?}"
+    assert_eq!(
+        solo.gc_fences_saved, 0,
+        "min_batch=1 must not coalesce: {solo:?}"
     );
 
     // Strictly beat 2.64×: solo/batched > 2.64 in integer math.

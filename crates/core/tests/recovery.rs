@@ -708,6 +708,39 @@ fn concurrent_interrupted_slots_roll_back_independently() {
     }
 }
 
+/// A runtime reopened after a clean close adopts its existing slot and
+/// creates new ones, and both keep committing across a second reopen.
+#[test]
+fn reopened_runtime_commits_on_adopted_and_new_slots() {
+    let backend = Backend::clobber();
+    let (pool, rt, base) = common::setup(backend);
+    common::run_script(&rt, base).unwrap();
+    let args = ArgList::new()
+        .with_u64(base.offset())
+        .with_u64(0)
+        .with_u64(1)
+        .with_u64(5);
+    let mut media = pool
+        .crash(&CrashConfig::drop_all(7))
+        .unwrap()
+        .media_snapshot();
+    for round in 0..2 {
+        let (pool, rt) = common::reopen(media, backend);
+        assert!(rt.recover().unwrap().is_clean(), "round {round}");
+        common::run_script(&rt, base).unwrap(); // slot 0: adopted
+        rt.run_on(1, "transfer", &args).unwrap(); // slot 1: new in round 0
+        assert_eq!(
+            common::total(&pool, base),
+            common::ACCOUNTS * common::INITIAL,
+            "round {round}"
+        );
+        media = pool
+            .crash(&CrashConfig::drop_all(8 + round))
+            .unwrap()
+            .media_snapshot();
+    }
+}
+
 #[test]
 fn run_returns_txfunc_payload() {
     let (_pool, rt, _head) = new_runtime(Backend::clobber());

@@ -20,7 +20,7 @@ use common::{
 };
 
 use clobber_nvm::{Backend, RecoveryOptions, RecoveryReport, SlotQuarantineKind, TxError};
-use clobber_pmem::{CrashConfig, EventKind, FaultPlan, PoolConcurrency, Tracer};
+use clobber_pmem::{CrashConfig, EventKind, FaultPlan, PmemError, PoolConcurrency, Tracer};
 
 /// Four parked transfers over pairwise-disjoint account ranges.
 const DISJOINT: [(u64, u64, u64); 4] = [(0, 1, 30), (2, 3, 45), (4, 5, 60), (6, 7, 15)];
@@ -201,9 +201,56 @@ fn multi_slot_quarantine_reports_distinct_kinds() {
     );
     assert!(!report.is_clean());
 
-    // Both quarantined transfers were dropped whole; conservation holds.
+    // Quarantine leaves a slot as the crash left it. Both quarantined
+    // transfers precede the last slot in the capture turnstile, so they
+    // reached media whole (see `parked_transfers`); conservation holds.
     let base = rt.app_root().unwrap();
     assert_eq!(total(&pool, base), ACCOUNTS * INITIAL);
+}
+
+/// A parked slot whose clobber-log header word decayed: best-effort
+/// recovery quarantines exactly that slot as `CorruptClobberLog`, serially
+/// and in parallel, and recovers the others; strict recovery surfaces the
+/// typed `CorruptPool` error instead of parsing the damaged image.
+#[test]
+fn corrupt_clobber_log_magic_is_a_typed_quarantine() {
+    let backend = Backend::clobber();
+    let media = parked_transfers(backend, &DISJOINT);
+    let damaged = |media: Vec<u8>| {
+        let (pool, rt) = reopen(media, backend);
+        register_parked_plain(&rt);
+        let clog = rt.slot_handle(1).unwrap().clobber_log(&pool).unwrap();
+        pool.inject_bit_corruption(clog.base(), 8, 0xBAD, 3)
+            .unwrap();
+        assert!(
+            clog.check_magic(&pool).is_err(),
+            "the magic must be damaged"
+        );
+        (pool, rt)
+    };
+
+    for workers in [1usize, 4] {
+        let (pool, rt) = damaged(media.clone());
+        let report = rt.recover_with(&be_opts().with_workers(workers)).unwrap();
+        assert_eq!(report.slots_scanned, 4, "workers={workers}: {report:?}");
+        assert_eq!(report.quarantined.len(), 1, "workers={workers}: {report:?}");
+        assert_eq!(report.quarantined[0].slot, 1);
+        assert_eq!(
+            report.quarantined[0].kind,
+            SlotQuarantineKind::CorruptClobberLog
+        );
+        assert_eq!(report.reexecuted.len(), 3, "workers={workers}: {report:?}");
+        // Slot 1 is not the turnstile's last slot, so its transfer reached
+        // media whole and leaving it un-repaired still conserves.
+        let base = rt.app_root().unwrap();
+        assert_eq!(total(&pool, base), ACCOUNTS * INITIAL, "workers={workers}");
+    }
+
+    let (_pool, rt) = damaged(media);
+    match rt.recover_with(&opts()) {
+        Err(TxError::Pmem(PmemError::CorruptPool(_))) => {}
+        other => panic!("strict recovery of a corrupt clobber log: {other:?}"),
+    }
 }
 
 /// A zero global budget quarantines every slot (best-effort) with the

@@ -18,9 +18,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::shard::ShardedPool;
 use crate::stats::PmemStats;
 
-/// Magic value of the original single-arena pool format (still opened).
-const POOL_MAGIC_V1: u64 = 0xC10B_BE12_0000_0001;
-/// Magic value of the multi-arena pool format.
+/// Magic value of the pool header.
 const POOL_MAGIC_V2: u64 = 0xC10B_BE12_0000_0002;
 
 /// Monotonic id source distinguishing live pools for thread-local allocator
@@ -42,9 +40,9 @@ pub(crate) mod layout {
     pub const ROOT: u64 = 16;
     /// `u64` allocation frontier (relative to the arena's `meta_base`).
     pub const FRONTIER: u64 = 24;
-    /// `u64` arena count (v2 pools; a v1 pool is one arena).
+    /// `u64` arena count (1 for a single-arena pool).
     pub const ARENAS: u64 = 32;
-    /// `u64` bytes spanned by each side arena (v2 pools, 0 if none).
+    /// `u64` bytes spanned by each side arena (0 if none).
     pub const ARENA_BYTES: u64 = 40;
     /// 64-byte allocator redo record (relative to the arena's `meta_base`).
     pub const ALLOC_REDO: u64 = 64;
@@ -87,9 +85,9 @@ impl ArenaLayout {
 
 /// The pool's arena partition, derived from (and persisted in) the header.
 ///
-/// Arena 0 keeps the exact v1 shape — metadata at offset 0, heap from
-/// `HEAP_BASE` up to `main_hi` — so single-arena pools are bit-compatible
-/// with the v1 format and huge allocations keep the largest region. Side
+/// Arena 0 keeps metadata at offset 0 (the pool header doubles as it) and
+/// its heap runs from `HEAP_BASE` up to `main_hi`, so a single-arena pool is
+/// one contiguous heap and huge allocations keep the largest region. Side
 /// arenas are fixed-size spans carved from the top of the pool. Geometry is
 /// a property of the pool *format*, never of the engine or shard count, so
 /// every concurrency mode computes identical block addresses.
@@ -108,7 +106,7 @@ const MIN_MAIN_HEAP: u64 = 64 * 1024;
 const SIDE_ARENA_MIN: u64 = 64 * 1024;
 
 impl HeapGeometry {
-    /// Single-arena geometry (v1 pools and tiny v2 pools).
+    /// Single-arena geometry (one arena requested, or no room for more).
     pub(crate) fn single(capacity: u64) -> HeapGeometry {
         HeapGeometry {
             arenas: vec![ArenaLayout {
@@ -166,9 +164,6 @@ impl HeapGeometry {
     /// Reads (and validates) the geometry persisted in a pool header.
     pub(crate) fn read(media: &[u8]) -> Result<HeapGeometry, PmemError> {
         let capacity = media.len() as u64;
-        if get_u64(media, layout::MAGIC) == POOL_MAGIC_V1 {
-            return Ok(HeapGeometry::single(capacity));
-        }
         let count = get_u64(media, layout::ARENAS);
         let side_bytes = get_u64(media, layout::ARENA_BYTES);
         if count == 0 || count > 4096 {
@@ -326,7 +321,7 @@ impl PoolOptions {
     }
 
     /// Requests `arenas` allocator arenas (clamped to the capacity's room;
-    /// 1 disables side arenas for v1-identical layout).
+    /// 1 disables side arenas: one contiguous heap).
     pub fn with_arenas(mut self, arenas: u32) -> Self {
         self.arenas = arenas;
         self
@@ -606,14 +601,14 @@ pub struct PmemPool {
     cache_impl: CacheImpl,
     concurrency: PoolConcurrency,
     capacity: u64,
-    /// Arena partition, read from the (versioned) pool header.
+    /// Arena partition, read from the pool header.
     geom: HeapGeometry,
     /// Identity for thread-local allocator state (routing + magazines):
     /// unique per live pool instance, so a reopened pool starts fresh.
     pool_id: u64,
     /// Round-robin source for thread→arena assignment. The first thread to
     /// allocate always claims arena 0, which keeps single-threaded
-    /// workloads bit-identical to the v1 single-arena layout.
+    /// workloads bit-identical to the single-arena layout.
     next_arena: AtomicU32,
     stats: Arc<PmemStats>,
     /// Fast-path flag: true while a [`FaultPlan`] is armed. Lets the
@@ -702,7 +697,7 @@ impl PmemPool {
             return Err(PmemError::CorruptPool("media shorter than metadata".into()));
         }
         let magic = get_u64(&media, layout::MAGIC);
-        if magic != POOL_MAGIC_V1 && magic != POOL_MAGIC_V2 {
+        if magic != POOL_MAGIC_V2 {
             return Err(PmemError::CorruptPool("bad magic".into()));
         }
         let capacity = get_u64(&media, layout::CAPACITY);
@@ -1508,6 +1503,13 @@ mod tests {
     #[test]
     fn open_rejects_bad_magic() {
         let media = vec![0u8; 1 << 20];
+        assert!(matches!(
+            PmemPool::open_from_media(media, PoolMode::CrashSim),
+            Err(PmemError::CorruptPool(_))
+        ));
+        // The retired single-arena header magic no longer opens either.
+        let mut media = crash_pool().media_snapshot();
+        media[..8].copy_from_slice(&0xC10B_BE12_0000_0001u64.to_le_bytes());
         assert!(matches!(
             PmemPool::open_from_media(media, PoolMode::CrashSim),
             Err(PmemError::CorruptPool(_))
