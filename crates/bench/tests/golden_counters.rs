@@ -276,7 +276,10 @@ fn allocator_counters_pin_across_engines() {
 /// Cells mutated by the `rec_chain` txfunc in the recovery pins below.
 const REC_CELLS: u64 = 3;
 
-fn register_rec_chain(rt: &Runtime, trap: Option<(Arc<PmemPool>, Arc<Mutex<Option<Vec<u8>>>>)>) {
+/// The pool a `rec_chain` run crashes, and where it leaves the crash image.
+type CrashTrap = (Arc<PmemPool>, Arc<Mutex<Option<Vec<u8>>>>);
+
+fn register_rec_chain(rt: &Runtime, trap: Option<CrashTrap>) {
     rt.register("rec_chain", move |tx, args| {
         let base = PAddr::new(args.u64(0)?);
         for i in 0..REC_CELLS {

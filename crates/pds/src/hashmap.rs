@@ -14,7 +14,7 @@
 //! ```
 
 use clobber_nvm::{ArgList, LockRequest, Runtime, Tx, TxError};
-use clobber_pmem::{PAddr, PmemPool};
+use clobber_pmem::{PAddr, PmemError, PmemPool};
 
 use crate::value::store_value;
 
@@ -27,6 +27,9 @@ pub(crate) const NODE_VPTR: u64 = 8;
 pub(crate) const NODE_VLEN: u64 = 16;
 pub(crate) const NODE_NEXT: u64 = 24;
 pub(crate) const NODE_SIZE: u64 = 32;
+
+/// Hops after which an out-of-transaction chain walk reports a cycle.
+const MAX_CHAIN: u64 = 1_000_000;
 
 /// Handle to a persistent hash map (all state lives in the pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +53,13 @@ pub(crate) fn bucket_of(key: u64) -> u64 {
 
 pub(crate) fn head_addr(root: PAddr, bucket: u64) -> PAddr {
     root.add(16 + bucket * 8)
+}
+
+/// The error for a structurally broken chain read off media.
+fn corrupt_chain(what: &str, bucket: u64) -> TxError {
+    TxError::Pmem(PmemError::CorruptPool(format!(
+        "hashmap bucket {bucket}: {what}"
+    )))
 }
 
 /// One insert-or-update, shared by [`TX_INSERT`] and [`TX_BATCH_SET`].
@@ -298,9 +308,11 @@ impl HashMap {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] on a corrupt chain.
+    /// Returns [`TxError::Pmem`] ([`PmemError::CorruptPool`] for a cycle)
+    /// on a corrupt chain.
     pub fn snapshot_get(&self, pool: &PmemPool, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        let mut cur = PAddr::new(pool.read_u64(head_addr(self.root, bucket_of(key)))?);
+        let bucket = bucket_of(key);
+        let mut cur = PAddr::new(pool.read_u64(head_addr(self.root, bucket))?);
         let mut hops = 0;
         while !cur.is_null() {
             if pool.read_u64(cur.add(NODE_KEY))? == key {
@@ -310,7 +322,9 @@ impl HashMap {
             }
             cur = PAddr::new(pool.read_u64(cur.add(NODE_NEXT))?);
             hops += 1;
-            assert!(hops < 1_000_000, "cycle in bucket {}", bucket_of(key));
+            if hops >= MAX_CHAIN {
+                return Err(corrupt_chain("cycle", bucket));
+            }
         }
         Ok(None)
     }
@@ -347,7 +361,8 @@ impl HashMap {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Pmem`] on a corrupt chain.
+    /// Returns [`TxError::Pmem`] ([`PmemError::CorruptPool`] for a cycle or
+    /// a node in the wrong bucket) on a corrupt chain.
     pub fn dump(&self, pool: &PmemPool) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
         if pool.read_u64(self.root)? != MAGIC {
             return Err(TxError::CorruptVlog("hashmap magic mismatch".into()));
@@ -358,13 +373,17 @@ impl HashMap {
             let mut hops = 0;
             while !cur.is_null() {
                 let key = pool.read_u64(cur.add(NODE_KEY))?;
-                assert_eq!(bucket_of(key), b, "node in the wrong bucket");
+                if bucket_of(key) != b {
+                    return Err(corrupt_chain("node in the wrong bucket", b));
+                }
                 let ptr = PAddr::new(pool.read_u64(cur.add(NODE_VPTR))?);
                 let len = pool.read_u64(cur.add(NODE_VLEN))?;
                 out.push((key, pool.read_bytes(ptr, len)?));
                 cur = PAddr::new(pool.read_u64(cur.add(NODE_NEXT))?);
                 hops += 1;
-                assert!(hops < 1_000_000, "cycle in bucket {b}");
+                if hops >= MAX_CHAIN {
+                    return Err(corrupt_chain("cycle", b));
+                }
             }
         }
         Ok(out)
@@ -402,6 +421,32 @@ mod tests {
         HashMap::register(&rt);
         let map = HashMap::create(&rt).unwrap();
         (pool, rt, map)
+    }
+
+    fn is_corrupt<T>(r: Result<T, TxError>) -> bool {
+        matches!(r, Err(TxError::Pmem(PmemError::CorruptPool(_))))
+    }
+
+    #[test]
+    fn corrupt_chains_are_typed_errors() {
+        let (pool, rt, map) = setup(Backend::clobber());
+        map.insert(&rt, 7, b"seven").unwrap();
+        let bucket = bucket_of(7);
+        let node = PAddr::new(pool.read_u64(head_addr(map.root, bucket)).unwrap());
+        // An absent key of the same bucket makes the lookup walk the chain.
+        let absent = (8..).find(|&k| bucket_of(k) == bucket).unwrap();
+
+        // Link the one-node chain into a cycle.
+        pool.write_u64(node.add(NODE_NEXT), node.offset()).unwrap();
+        assert!(is_corrupt(map.snapshot_get(&pool, absent)));
+        assert!(is_corrupt(map.dump(&pool)));
+
+        // Unlink it again, then give the node a key of another bucket.
+        pool.write_u64(node.add(NODE_NEXT), 0).unwrap();
+        assert_eq!(map.dump(&pool).unwrap().len(), 1);
+        let stray = (0..).find(|&k| bucket_of(k) != bucket).unwrap();
+        pool.write_u64(node.add(NODE_KEY), stray).unwrap();
+        assert!(is_corrupt(map.dump(&pool)));
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //!
 //! * [`LineCache`] — the production model: a dense, line-indexed
 //!   representation (one dirty/flush-pending bit per cache line plus a
-//!   single lazily-allocated shadow buffer). The store path touches no heap
-//!   after the first write and no hashing ever happens.
+//!   single shadow buffer). The shadow and bitmaps are one zeroed
+//!   allocation each, made on the first store; the OS commits their pages
+//!   only as stores touch them, so memory and set-up time are O(touched
+//!   lines), not O(pool capacity). The store path touches no heap after
+//!   the first write and no hashing ever happens.
 //! * [`RefCache`] — the original `HashMap<line, CacheLine>` model, kept as
 //!   the executable specification for equivalence tests and A/B benchmarks
 //!   (select it with [`PoolOptions::with_reference_cache`]).
@@ -129,12 +132,14 @@ impl Cache {
 /// * For every dirty line, `shadow` holds the current (volatile) contents;
 ///   for clean lines `shadow` is meaningless and never read.
 ///
-/// Nothing is allocated until the first store; after that, steady-state
-/// stores, flushes and fences are allocation-free (the pending-flush list
-/// retains its capacity across fences).
+/// Nothing is allocated until the first store, which makes the shadow and
+/// bitmaps as zeroed allocations whose pages are committed on first touch,
+/// so resident memory is O(touched lines). After that, steady-state stores,
+/// flushes and fences are allocation-free (the pending-flush list retains
+/// its capacity across fences).
 #[derive(Default)]
 pub(crate) struct LineCache {
-    /// Volatile contents of dirty lines, indexed like media. Sized lazily.
+    /// Volatile contents of dirty lines, indexed like media.
     shadow: Vec<u8>,
     /// One bit per line: modified since last write-back.
     dirty: Vec<u64>,
@@ -156,13 +161,16 @@ impl LineCache {
         LineCache::default()
     }
 
+    /// `vec![0; n]` is `alloc_zeroed`, so the OS commits a page only when a
+    /// store first writes it; `resize` would write every byte. The zeroes
+    /// are never read (third invariant).
     fn ensure(&mut self, media_len: usize) {
         if self.shadow.len() != media_len {
-            self.shadow.resize(media_len, 0);
-            let lines = media_len.div_ceil(LINE);
-            let words = lines.div_ceil(64);
-            self.dirty.resize(words, 0);
-            self.flush_pending.resize(words, 0);
+            debug_assert_eq!(self.modified, 0, "media length never changes");
+            self.shadow = vec![0; media_len];
+            let words = media_len.div_ceil(LINE).div_ceil(64);
+            self.dirty = vec![0; words];
+            self.flush_pending = vec![0; words];
         }
     }
 

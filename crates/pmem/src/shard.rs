@@ -153,26 +153,30 @@ impl ShardedPool {
         let arena_spans = geom.arenas().iter().map(|l| l.span()).collect();
         let want = shards.clamp(1, 4096) as u64;
         let shard_bytes = align_up(capacity.div_ceil(want).max(1), CACHE_LINE);
-        let mut cells = Vec::new();
+        // Carve from the back: `split_off` copies only the piece it returns,
+        // so each byte is copied at most once, and the head keeps the
+        // original allocation (less its spare capacity).
+        let count = capacity.div_ceil(shard_bytes) as usize;
+        let mut pieces = Vec::with_capacity(count);
         let mut rest = media;
-        let mut base = 0u64;
-        while !rest.is_empty() {
-            let take = (shard_bytes as usize).min(rest.len());
-            let tail = rest.split_off(take);
+        for idx in (1..count).rev() {
+            pieces.push(rest.split_off(idx * shard_bytes as usize));
+        }
+        rest.shrink_to_fit();
+        pieces.push(rest);
+        let cells = pieces.into_iter().rev().enumerate().map(|(idx, piece)| {
             let shard = Shard {
-                base,
-                mc: MediaCache::new(rest, cache_impl),
+                base: idx as u64 * shard_bytes,
+                mc: MediaCache::new(piece, cache_impl),
             };
-            cells.push(if unsync {
+            if unsync {
                 ShardCell::Unsync(UnsafeCell::new(shard))
             } else {
                 ShardCell::Locked(Mutex::new(shard))
-            });
-            base += take as u64;
-            rest = tail;
-        }
+            }
+        });
         ShardedPool {
-            cells: cells.into_boxed_slice(),
+            cells: cells.collect(),
             shard_bytes,
             capacity,
             mirrors: mirrors.into_boxed_slice(),
@@ -521,6 +525,21 @@ mod tests {
         assert_eq!(s.shard_count(), 4);
         assert_eq!(s.shard_bytes % CACHE_LINE, 0);
         assert_eq!(s.media_snapshot().len(), 1 << 20);
+    }
+
+    #[test]
+    fn split_keeps_bases_order_and_bytes() {
+        // 3 shards of 2 816 B over 8 320 B: the last shard holds the
+        // 2 688 B remainder, and every byte lands where it started.
+        let media: Vec<u8> = (0..8320u32).map(|i| (i * 7 % 251) as u8).collect();
+        let geom = HeapGeometry::single(media.len() as u64);
+        let s = ShardedPool::new(media.clone(), CacheImpl::Dense, 3, false, &geom);
+        assert_eq!(s.shard_bytes, 2816);
+        let spans: Vec<(u64, usize)> = (0..s.shard_count())
+            .map(|i| s.with_shard(i, |sh| (sh.base, sh.mc.media.len())))
+            .collect();
+        assert_eq!(spans, [(0, 2816), (2816, 2816), (5632, 2688)]);
+        assert_eq!(s.media_snapshot(), media);
     }
 
     #[test]
