@@ -1,18 +1,19 @@
 //! Contended-allocator microbenchmarks — the before/after instrument for
 //! sharded allocator arenas and thread-local reservation magazines.
 //!
-//! Engine configurations at 1/2/4/8 threads:
+//! Pool configurations at 1/2/4/8 threads:
 //!
-//! * `global_arenas1` — single-lock engine, one arena (the PR 2 shape).
-//! * `sharded4_arenas1` — 4-shard engine, one arena: every allocator call
-//!   locks the one mirror plus **all** shards (the PR 3 shape — the
+//! * `sharded1_arenas1` — the default one-shard pool, one arena: one
+//!   mirror lock plus the one shard lock per allocator call.
+//! * `sharded4_arenas1` — 4 shards, one arena: every allocator call locks
+//!   the one mirror plus **all** shards (the pre-arena shape — the
 //!   baseline the arena work must beat).
-//! * `sharded4_arenas4` — 4-shard engine at the new default arena count:
-//!   the regression check against `sharded4_arenas1`.
+//! * `sharded4_arenas4` — 4 shards at the default arena count: the
+//!   regression check against `sharded4_arenas1`.
 //! * `sharded16_arenas1` — PR 3's all-shard locking at 16 shards: 17 lock
 //!   acquisitions per allocator call. Shows why all-shard locking cannot
 //!   scale with the shard count.
-//! * `sharded16_arenas4` — 16-shard engine, four arenas: an allocator call
+//! * `sharded16_arenas4` — 16 shards, four arenas: an allocator call
 //!   locks one arena mirror plus only the 1–4 shards covering that arena,
 //!   and reservation magazines serve repeat `reserve`s with no lock at
 //!   all.
@@ -45,7 +46,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 fn variants() -> [(&'static str, PoolOptions); 5] {
     [
         (
-            "global_arenas1",
+            "sharded1_arenas1",
             PoolOptions::performance(POOL).with_arenas(1),
         ),
         (
@@ -73,8 +74,8 @@ fn variants() -> [(&'static str, PoolOptions); 5] {
 
 /// Immediate-path churn: `alloc(64)` + `free` per operation. After the
 /// first batch every allocation is a free-list pop, so the measured cost is
-/// the redo-protected metadata update under whatever locks the engine
-/// takes.
+/// the redo-protected metadata update under whatever locks the shard
+/// layout takes.
 fn alloc_free(c: &mut Criterion) {
     let mut group = c.benchmark_group("alloc_contend_alloc_free");
     group.sample_size(15);

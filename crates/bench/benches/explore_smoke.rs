@@ -1,7 +1,8 @@
 //! Explorer smoke bench (ISSUE 8): one bounded exploration of the pds
 //! hash-map workload per iteration — every non-pruned interleaving of the
 //! (2,1) insert lanes, a capped set of crash prefixes each, full
-//! crash/recover/verify pipeline per prefix. Exists so the explorer's
+//! crash/recover/verify pipeline per prefix, on a one-shard (`sharded1`)
+//! and a 4-shard (`sharded4`) pool. Exists so the explorer's
 //! end-to-end cost stays visible and the CI bench smoke (`--test`) keeps
 //! the bench body compiling against the public explore API.
 //! Throughput tables live in EXPERIMENTS.md ("Schedule exploration").
@@ -10,22 +11,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use clobber_nvm::{ExploreOptions, Explorer};
 use clobber_pds::workload::ExploreWorkload;
-use clobber_pmem::PoolConcurrency;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore_hashmap_3op");
     group.sample_size(10);
-    for engine in [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 4 },
-    ] {
-        let label = match engine {
-            PoolConcurrency::GlobalLock => "global_lock",
-            PoolConcurrency::Sharded { .. } => "sharded4",
-            PoolConcurrency::SingleThread => "single_thread",
-        };
-        group.bench_function(label, |b| {
-            let wl = ExploreWorkload::new(engine);
+    for shards in [1, 4] {
+        group.bench_function(format!("sharded{shards}"), |b| {
+            let wl = ExploreWorkload::new(shards);
             let opts = ExploreOptions::default()
                 .with_budget(64)
                 .with_crash_stride(64)

@@ -59,9 +59,9 @@
 //! ([`ExploreOptions::seed`], candidate index, crash point), and every
 //! candidate runs on a fresh pool with slots pre-created in canonical
 //! order — so the same seed + budget yields the identical explored list,
-//! outcome hashes, and `exp_*` counters on every `PoolConcurrency`
-//! engine. A run that exhausts [`ExploreOptions::max_schedules`] (or
-//! stops at [`ExploreOptions::max_failures`]) reports the decision-vector
+//! outcome hashes, and `exp_*` counters at every pool shard count. A run
+//! that exhausts [`ExploreOptions::max_schedules`] (or stops at
+//! [`ExploreOptions::max_failures`]) reports the decision-vector
 //! [`ExploreReport::frontier`] of its last executed candidate; passing it
 //! back via [`ExploreOptions::resume_after`] seeks the DFS past every
 //! already-explored subtree — replaying sleep-set bookkeeping along the

@@ -12,9 +12,7 @@
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
-};
+use clobber_pmem::{CacheImpl, CrashConfig, FaultPlan, PAddr, PmemPool, PoolMode, PoolOptions};
 
 /// Number of bank accounts in the sweep workload.
 pub const ACCOUNTS: u64 = 8;
@@ -62,17 +60,14 @@ fn sweep_options(backend: Backend) -> RuntimeOptions {
 /// Creates a fresh pool + runtime with the bank initialized and durable.
 /// Identical across calls, so persist-event streams replay exactly.
 pub fn setup(backend: Backend) -> (Arc<PmemPool>, Runtime, PAddr) {
-    setup_with(backend, PoolConcurrency::GlobalLock)
+    setup_with(backend, 1)
 }
 
-/// [`setup`] on a pool with the given concurrency mode. The persist-event
+/// [`setup`] on a pool with the given shard count. The persist-event
 /// stream is identical at every shard count (the ordering contract), so
 /// sweeps parameterized this way must agree event-for-event.
-pub fn setup_with(
-    backend: Backend,
-    concurrency: PoolConcurrency,
-) -> (Arc<PmemPool>, Runtime, PAddr) {
-    let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(concurrency);
+pub fn setup_with(backend: Backend, shards: u32) -> (Arc<PmemPool>, Runtime, PAddr) {
+    let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), sweep_options(backend)).unwrap();
     register_transfer(&rt);
@@ -87,17 +82,13 @@ pub fn setup_with(
 
 /// Reopens crashed media with a runtime ready to recover.
 pub fn reopen(media: Vec<u8>, backend: Backend) -> (Arc<PmemPool>, Runtime) {
-    reopen_with(media, backend, PoolConcurrency::GlobalLock)
+    reopen_with(media, backend, 1)
 }
 
-/// [`reopen`] on a pool with the given concurrency mode.
-pub fn reopen_with(
-    media: Vec<u8>,
-    backend: Backend,
-    concurrency: PoolConcurrency,
-) -> (Arc<PmemPool>, Runtime) {
+/// [`reopen`] on a pool with the given shard count.
+pub fn reopen_with(media: Vec<u8>, backend: Backend, shards: u32) -> (Arc<PmemPool>, Runtime) {
     let pool = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
+        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards)
             .unwrap(),
     );
     let rt = Runtime::open(pool.clone(), sweep_options(backend)).unwrap();
@@ -125,12 +116,12 @@ pub fn run_script(rt: &Runtime, base: PAddr) -> Result<(), TxError> {
 
 /// Counts the persist events the script issues under `backend`.
 pub fn count_script_events(backend: Backend) -> u64 {
-    count_script_events_with(backend, PoolConcurrency::GlobalLock)
+    count_script_events_with(backend, 1)
 }
 
-/// [`count_script_events`] on a pool with the given concurrency mode.
-pub fn count_script_events_with(backend: Backend, concurrency: PoolConcurrency) -> u64 {
-    let (pool, rt, base) = setup_with(backend, concurrency);
+/// [`count_script_events`] on a pool with the given shard count.
+pub fn count_script_events_with(backend: Backend, shards: u32) -> u64 {
+    let (pool, rt, base) = setup_with(backend, shards);
     pool.arm_faults(FaultPlan::count_only());
     run_script(&rt, base).expect("count run must not fail");
     let n = pool.disarm_faults();
@@ -188,11 +179,11 @@ pub fn sweep_recover_opts() -> clobber_nvm::RecoveryOptions {
 fn recover_and_check(
     media: Vec<u8>,
     backend: Backend,
-    concurrency: PoolConcurrency,
+    shards: u32,
     ctx: &str,
     summary: &mut SweepSummary,
 ) {
-    let (pool, rt) = reopen_with(media, backend, concurrency);
+    let (pool, rt) = reopen_with(media, backend, shards);
     let report = rt
         .recover_with(&sweep_recover_opts())
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
@@ -225,8 +216,8 @@ fn recover_and_check(
 
 /// Runs the script to event `k`, trips, takes a `drop_all` power failure,
 /// and returns the surviving media.
-fn crash_at(backend: Backend, concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
-    let (pool, rt, base) = setup_with(backend, concurrency);
+fn crash_at(backend: Backend, shards: u32, k: u64) -> Vec<u8> {
+    let (pool, rt, base) = setup_with(backend, shards);
     pool.arm_faults(FaultPlan::crash_at(k));
     // A trip on a trailing fence can leave the script completing Ok; any
     // other trip surfaces as an error. Both are valid crash points.
@@ -244,42 +235,37 @@ fn crash_at(backend: Backend, concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
 /// recovery itself is also crashed (at rotating or all recovery events) and
 /// re-run from the re-crashed media — the idempotence proof.
 pub fn sweep(backend: Backend, stride: u64, nested: Nested) -> SweepSummary {
-    sweep_with(backend, stride, nested, PoolConcurrency::GlobalLock)
+    sweep_with(backend, stride, nested, 1)
 }
 
 /// [`sweep`] with every pool in the pipeline (workload, recovery, nested
-/// recovery) running at the given concurrency mode. Because persist-event
+/// recovery) running at the given shard count. Because persist-event
 /// numbering and seeded crash draws are shard-count-invariant, the returned
-/// summary must be identical across concurrency modes for the same
+/// summary must be identical across shard counts for the same
 /// `(backend, stride, nested)` — callers assert exactly that.
-pub fn sweep_with(
-    backend: Backend,
-    stride: u64,
-    nested: Nested,
-    concurrency: PoolConcurrency,
-) -> SweepSummary {
+pub fn sweep_with(backend: Backend, stride: u64, nested: Nested, shards: u32) -> SweepSummary {
     assert!(stride > 0);
     let mut summary = SweepSummary {
-        events: count_script_events_with(backend, concurrency),
+        events: count_script_events_with(backend, shards),
         ..SweepSummary::default()
     };
     let mut k = 0;
     while k < summary.events {
-        let media = crash_at(backend, concurrency, k);
+        let media = crash_at(backend, shards, k);
         summary.crash_points += 1;
 
         // Plain recovery from this crash point.
         recover_and_check(
             media.clone(),
             backend,
-            concurrency,
+            shards,
             &format!("k={k}"),
             &mut summary,
         );
 
         if nested != Nested::Off {
             // Count recovery's own persist events from identical media.
-            let (pool_m, rt_m) = reopen_with(media.clone(), backend, concurrency);
+            let (pool_m, rt_m) = reopen_with(media.clone(), backend, shards);
             pool_m.arm_faults(FaultPlan::count_only());
             rt_m.recover_with(&sweep_recover_opts()).unwrap();
             let m = pool_m.disarm_faults();
@@ -291,7 +277,7 @@ pub fn sweep_with(
                 Nested::Exhaustive => (0..m).collect(),
             };
             for j in js {
-                let (pool_n, rt_n) = reopen_with(media.clone(), backend, concurrency);
+                let (pool_n, rt_n) = reopen_with(media.clone(), backend, shards);
                 pool_n.arm_faults(FaultPlan::crash_at(j));
                 // Recovery dies at event j (a trip on recovery's final
                 // fence may still let it return Ok — also a valid point).
@@ -304,7 +290,7 @@ pub fn sweep_with(
                 recover_and_check(
                     media2,
                     backend,
-                    concurrency,
+                    shards,
                     &format!("k={k} nested j={j}"),
                     &mut summary,
                 );
@@ -351,11 +337,8 @@ pub fn register_regrow(rt: &Runtime) {
 
 /// Fresh pool + runtime with the regrow root (`[ptr, cells]`) and initial
 /// list durable. Deterministic, so persist-event streams replay exactly.
-pub fn setup_regrow(
-    backend: Backend,
-    concurrency: PoolConcurrency,
-) -> (Arc<PmemPool>, Runtime, PAddr) {
-    let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(concurrency);
+pub fn setup_regrow(backend: Backend, shards: u32) -> (Arc<PmemPool>, Runtime, PAddr) {
+    let opts = PoolOptions::crash_sim(1 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), sweep_options(backend)).unwrap();
     register_regrow(&rt);
@@ -404,12 +387,12 @@ fn check_regrow_list(pool: &PmemPool, base: PAddr, ctx: &str) {
 /// invariant *and* a full [`PmemPool::check_heap`] walk after every
 /// recovery (allocator metadata must stay structurally sound at every
 /// crash point, not just on the happy path).
-pub fn sweep_regrow(backend: Backend, stride: u64, concurrency: PoolConcurrency) -> SweepSummary {
+pub fn sweep_regrow(backend: Backend, stride: u64, shards: u32) -> SweepSummary {
     assert!(stride > 0);
     let mut summary = SweepSummary::default();
     // Count the script's persist events (and verify the harness baseline).
     {
-        let (pool, rt, base) = setup_regrow(backend, concurrency);
+        let (pool, rt, base) = setup_regrow(backend, shards);
         pool.arm_faults(FaultPlan::count_only());
         run_regrow_script(&rt, base).expect("count run must not fail");
         summary.events = pool.disarm_faults();
@@ -420,7 +403,7 @@ pub fn sweep_regrow(backend: Backend, stride: u64, concurrency: PoolConcurrency)
     let mut k = 0;
     while k < summary.events {
         let media = {
-            let (pool, rt, base) = setup_regrow(backend, concurrency);
+            let (pool, rt, base) = setup_regrow(backend, shards);
             pool.arm_faults(FaultPlan::crash_at(k));
             let _ = run_regrow_script(&rt, base);
             assert_eq!(pool.fault_tripped(), Some(k), "event {k} must trip");
@@ -430,13 +413,8 @@ pub fn sweep_regrow(backend: Backend, stride: u64, concurrency: PoolConcurrency)
         };
         summary.crash_points += 1;
         let pool = Arc::new(
-            PmemPool::open_from_media_with(
-                media,
-                PoolMode::CrashSim,
-                CacheImpl::Dense,
-                concurrency,
-            )
-            .unwrap(),
+            PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards)
+                .unwrap(),
         );
         let rt = Runtime::open(pool.clone(), sweep_options(backend)).unwrap();
         register_regrow(&rt);
@@ -543,9 +521,9 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
 
 /// Runs the full script with a tracer attached (no faults armed) and
 /// returns the captured trace. Under the persist-event ordering contract
-/// the result is bit-identical at every concurrency mode.
-pub fn traced_script_run(backend: Backend, concurrency: PoolConcurrency) -> clobber_pmem::Trace {
-    let (pool, rt, base) = setup_with(backend, concurrency);
+/// the result is bit-identical at every shard count.
+pub fn traced_script_run(backend: Backend, shards: u32) -> clobber_pmem::Trace {
+    let (pool, rt, base) = setup_with(backend, shards);
     let tracer = Arc::new(clobber_pmem::Tracer::new());
     pool.set_tracer(Some(tracer.clone()));
     run_script(&rt, base).expect("traced run must not fail");
@@ -556,12 +534,8 @@ pub fn traced_script_run(backend: Backend, concurrency: PoolConcurrency) -> clob
 /// Like [`crash_at`], but with a tracer attached *after* arming (so trace
 /// sequence numbers match untraced trip indices). Returns the recorded
 /// trace alongside the surviving media.
-pub fn traced_crash_at(
-    backend: Backend,
-    concurrency: PoolConcurrency,
-    k: u64,
-) -> (clobber_pmem::Trace, Vec<u8>) {
-    let (pool, rt, base) = setup_with(backend, concurrency);
+pub fn traced_crash_at(backend: Backend, shards: u32, k: u64) -> (clobber_pmem::Trace, Vec<u8>) {
+    let (pool, rt, base) = setup_with(backend, shards);
     pool.arm_faults(FaultPlan::crash_at(k));
     let tracer = Arc::new(clobber_pmem::Tracer::new());
     pool.set_tracer(Some(tracer.clone()));
@@ -618,8 +592,8 @@ pub fn register_explore_extras(rt: &Runtime) {
 /// cell, `buggy` additionally registering the ordering-bug txfuncs. The
 /// pool is bigger than the sweep pool because explored schedules span two
 /// v_log slots.
-pub fn explore_setup(concurrency: PoolConcurrency, buggy: bool) -> (Arc<PmemPool>, Runtime, PAddr) {
-    let opts = PoolOptions::crash_sim(2 << 20).with_concurrency(concurrency);
+pub fn explore_setup(shards: u32, buggy: bool) -> (Arc<PmemPool>, Runtime, PAddr) {
+    let opts = PoolOptions::crash_sim(2 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), sweep_options(Backend::clobber())).unwrap();
     register_transfer(&rt);
@@ -637,13 +611,9 @@ pub fn explore_setup(concurrency: PoolConcurrency, buggy: bool) -> (Arc<PmemPool
 }
 
 /// Reopens crashed explore media ready for recovery.
-pub fn explore_reopen(
-    media: Vec<u8>,
-    concurrency: PoolConcurrency,
-    buggy: bool,
-) -> (Arc<PmemPool>, Runtime) {
+pub fn explore_reopen(media: Vec<u8>, shards: u32, buggy: bool) -> (Arc<PmemPool>, Runtime) {
     let pool = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
+        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards)
             .unwrap(),
     );
     let rt = Runtime::open(pool.clone(), sweep_options(Backend::clobber())).unwrap();
@@ -671,23 +641,20 @@ pub fn explore_check(pool: &PmemPool, rt: &Runtime) -> Result<(), String> {
 }
 
 /// Packages the explore harness as an [`clobber_nvm::ExploreSession`].
-pub fn explore_session(
-    concurrency: PoolConcurrency,
-    buggy: bool,
-) -> clobber_nvm::ExploreSession<'static> {
+pub fn explore_session(shards: u32, buggy: bool) -> clobber_nvm::ExploreSession<'static> {
     clobber_nvm::ExploreSession {
         build: Box::new(move || {
-            let (pool, rt, _) = explore_setup(concurrency, buggy);
+            let (pool, rt, _) = explore_setup(shards, buggy);
             (pool, rt)
         }),
-        reopen: Box::new(move |media| explore_reopen(media, concurrency, buggy)),
+        reopen: Box::new(move |media| explore_reopen(media, shards, buggy)),
         check: Box::new(explore_check),
     }
 }
 
 /// The deterministic base address every [`explore_setup`] produces.
-pub fn explore_base(concurrency: PoolConcurrency) -> PAddr {
-    let (_pool, _rt, base) = explore_setup(concurrency, false);
+pub fn explore_base(shards: u32) -> PAddr {
+    let (_pool, _rt, base) = explore_setup(shards, false);
     base
 }
 

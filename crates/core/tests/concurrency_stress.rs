@@ -15,9 +15,7 @@
 use std::sync::Arc;
 
 use clobber_nvm::{ArgList, Runtime, RuntimeOptions};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions, StatsSnapshot,
-};
+use clobber_pmem::{CacheImpl, CrashConfig, PAddr, PmemPool, PoolMode, PoolOptions, StatsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -156,13 +154,8 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
         .unwrap()
         .media_snapshot();
     let pool2 = Arc::new(
-        PmemPool::open_from_media_with(
-            media,
-            PoolMode::CrashSim,
-            CacheImpl::Dense,
-            PoolConcurrency::Sharded { shards: SHARDS },
-        )
-        .unwrap(),
+        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, SHARDS)
+            .unwrap(),
     );
     let rt2 = Runtime::open(pool2.clone(), rt_options()).unwrap();
     register_transfer(&rt2);
@@ -174,53 +167,4 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
         "conservation violated after crash + recovery"
     );
     assert_banks_aggregate(&pool2);
-}
-
-/// The same workload single-threaded in `SingleThread` mode produces the
-/// same final balances as `GlobalLock` — and a second thread touching the
-/// pool panics rather than racing.
-#[test]
-fn single_thread_mode_matches_and_rejects_foreign_threads() {
-    let seed = seed_from_env();
-    let mut totals = Vec::new();
-    for concurrency in [PoolConcurrency::GlobalLock, PoolConcurrency::SingleThread] {
-        let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(concurrency);
-        let pool = Arc::new(PmemPool::create(opts).unwrap());
-        let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
-        register_transfer(&rt);
-        let base = pool.alloc(ACCTS_PER_THREAD * 8).unwrap();
-        for i in 0..ACCTS_PER_THREAD {
-            pool.write_u64(base.add(i * 8), INITIAL).unwrap();
-        }
-        pool.persist(base, ACCTS_PER_THREAD * 8).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..TRANSFERS_PER_THREAD {
-            let from = rng.gen_range(0..ACCTS_PER_THREAD);
-            let to = rng.gen_range(0..ACCTS_PER_THREAD);
-            let amount = rng.gen_range(0..30u64);
-            let args = ArgList::new()
-                .with_u64(base.offset())
-                .with_u64(from)
-                .with_u64(to)
-                .with_u64(amount);
-            rt.run("stress_transfer", &args).unwrap();
-        }
-        let balances: Vec<u64> = (0..ACCTS_PER_THREAD)
-            .map(|i| pool.read_u64(base.add(i * 8)).unwrap())
-            .collect();
-        totals.push((pool, balances));
-    }
-    assert_eq!(
-        totals[0].1, totals[1].1,
-        "SingleThread diverged from GlobalLock"
-    );
-
-    // Foreign-thread access must panic, not corrupt.
-    let (st_pool, _) = &totals[1];
-    let pool = st_pool.clone();
-    let res = std::thread::spawn(move || pool.read_u64(PAddr::new(4096))).join();
-    assert!(
-        res.is_err(),
-        "a second thread must not be able to touch a SingleThread pool"
-    );
 }

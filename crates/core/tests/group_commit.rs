@@ -12,9 +12,7 @@ mod common;
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, Runtime, RuntimeOptions};
-use clobber_pmem::{
-    EventKind, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot, Tracer,
-};
+use clobber_pmem::{EventKind, PAddr, PmemPool, PoolOptions, StatsSnapshot, Tracer};
 use common::{run_script, setup};
 
 const THREADS: u64 = 4;
@@ -43,9 +41,7 @@ fn register_plain_transfer(rt: &Runtime) {
 /// disjoint account pair, on a 4-shard pool. Returns the stats delta over
 /// the threaded phase only (setup excluded).
 fn run_committers(batch: usize) -> StatsSnapshot {
-    let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(PoolConcurrency::Sharded {
-        shards: THREADS as u32,
-    });
+    let opts = PoolOptions::crash_sim(1 << 20).with_shards(THREADS as u32);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let mut ropts = RuntimeOptions::new(Backend::clobber()).with_group_commit_batch(batch);
     ropts.clobber_log_cap = 32 << 10;

@@ -7,27 +7,22 @@
 //! concurrency, racing locked transfers over *shared* accounts conserve
 //! through adversarial crashes and recovery, locked committers push the
 //! group-commit fence saving past the PR's solo baseline of 2.64×, and
-//! locked schedules keep the persist-event stream bit-identical across
-//! every pool concurrency engine (the determinism contract now covers
-//! lock traffic too).
+//! locked schedules keep the persist-event stream bit-identical at every
+//! pool shard count (the determinism contract now covers lock traffic
+//! too).
 
 mod common;
 
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, LockRequest, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{
-    CrashConfig, FaultPlan, PAddr, PmemPool, PoolConcurrency, PoolOptions, StatsSnapshot,
-};
+use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolOptions, StatsSnapshot};
 use common::{register_transfer, reopen_with, sweep_recover_opts, total, ACCOUNTS, INITIAL};
 use proptest::prelude::*;
 
-/// Engines the lock-step determinism pins cover.
-const ENGINES: [PoolConcurrency; 3] = [
-    PoolConcurrency::GlobalLock,
-    PoolConcurrency::Sharded { shards: 4 },
-    PoolConcurrency::SingleThread,
-];
+/// Shard counts the lock-step determinism pins cover; the first is the
+/// reference.
+const SHARDS: [u32; 2] = [1, 4];
 
 fn transfer_args(base: PAddr, (f, t, a): (u64, u64, u64)) -> ArgList {
     ArgList::new()
@@ -123,8 +118,7 @@ fn racing_locked_transfers_conserve_through_crash_and_recovery() {
 }
 
 fn racing_crash_at(threads: usize, k: u64) {
-    let opts =
-        PoolOptions::crash_sim(1 << 20).with_concurrency(PoolConcurrency::Sharded { shards: 4 });
+    let opts = PoolOptions::crash_sim(1 << 20).with_shards(4);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let mut ropts = RuntimeOptions::new(Backend::clobber());
     ropts.clobber_log_cap = 32 << 10;
@@ -179,11 +173,7 @@ fn racing_crash_at(threads: usize, k: u64) {
         .crash(&CrashConfig::drop_all(0xC10B ^ k))
         .unwrap()
         .media_snapshot();
-    let (pool2, rt2) = reopen_with(
-        media,
-        Backend::clobber(),
-        PoolConcurrency::Sharded { shards: 4 },
-    );
+    let (pool2, rt2) = reopen_with(media, Backend::clobber(), 4);
     rt2.recover_with(&sweep_recover_opts())
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
     let base2 = rt2.app_root().unwrap();
@@ -208,9 +198,7 @@ const GC_ROUNDS: u64 = 32;
 /// Four OS threads committing through `run_locked` on disjoint exclusive
 /// locks (lock-step-safe: disjoint sets never wait), batch vs solo.
 fn run_locked_committers(batch: usize) -> StatsSnapshot {
-    let opts = PoolOptions::crash_sim(1 << 20).with_concurrency(PoolConcurrency::Sharded {
-        shards: GC_THREADS as u32,
-    });
+    let opts = PoolOptions::crash_sim(1 << 20).with_shards(GC_THREADS as u32);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let mut ropts = RuntimeOptions::new(Backend::clobber()).with_group_commit_batch(batch);
     ropts.clobber_log_cap = 32 << 10;
@@ -311,8 +299,8 @@ fn locked_committers_beat_the_group_commit_baseline() {
 
 /// Runs `script` single-threaded through `run_on_locked` (slot 0, both
 /// account locks per transfer) under a tracer and returns the trace.
-fn traced_locked_run(engine: PoolConcurrency, script: &[(u64, u64, u64)]) -> clobber_pmem::Trace {
-    let (pool, rt, base) = common::setup_with(Backend::clobber(), engine);
+fn traced_locked_run(shards: u32, script: &[(u64, u64, u64)]) -> clobber_pmem::Trace {
+    let (pool, rt, base) = common::setup_with(Backend::clobber(), shards);
     let tracer = Arc::new(clobber_pmem::Tracer::new());
     pool.set_tracer(Some(tracer.clone()));
     for &(f, t, a) in script {
@@ -328,11 +316,11 @@ fn traced_locked_run(engine: PoolConcurrency, script: &[(u64, u64, u64)]) -> clo
 }
 
 /// Lock-step determinism: a locked schedule records a bit-identical trace
-/// — persist events *and* lock events — on every concurrency engine.
+/// — persist events *and* lock events — at every shard count.
 #[test]
 fn locked_script_trace_is_engine_invariant() {
     let script = common::SCRIPT;
-    let golden = traced_locked_run(ENGINES[0], script);
+    let golden = traced_locked_run(SHARDS[0], script);
     assert!(!golden.events.is_empty());
     assert!(
         golden
@@ -341,11 +329,11 @@ fn locked_script_trace_is_engine_invariant() {
             .any(|e| e.kind == clobber_pmem::EventKind::LockAcquire),
         "lock traffic must appear in the trace"
     );
-    for engine in &ENGINES[1..] {
-        let other = traced_locked_run(*engine, script);
+    for &shards in &SHARDS[1..] {
+        let other = traced_locked_run(shards, script);
         assert!(
             golden.diff(&other).is_none(),
-            "locked trace diverged on {engine:?}: {}",
+            "locked trace diverged at {shards} shards: {}",
             golden.diff(&other).unwrap()
         );
     }
@@ -355,18 +343,18 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Determinism proptest extension: random locked transfer scripts
-    /// stay bit-identical across engines, persist events and lock events
+    /// stay bit-identical across shard counts, persist events and lock events
     /// alike.
     #[test]
     fn locked_random_scripts_are_engine_invariant(
         script in proptest::collection::vec((0u64..8, 0u64..8, 0u64..50), 1..12),
     ) {
-        let golden = traced_locked_run(ENGINES[0], &script);
-        for engine in &ENGINES[1..] {
-            let other = traced_locked_run(*engine, &script);
+        let golden = traced_locked_run(SHARDS[0], &script);
+        for &shards in &SHARDS[1..] {
+            let other = traced_locked_run(shards, &script);
             prop_assert!(
                 golden.diff(&other).is_none(),
-                "locked trace diverged on {engine:?}: {}",
+                "locked trace diverged at {shards} shards: {}",
                 golden.diff(&other).unwrap()
             );
         }

@@ -16,9 +16,7 @@ use clobber_kvnet::{
     SimNet, SimNetConfig,
 };
 use clobber_nvm::{Backend, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolConcurrency, PoolMode, PoolOptions,
-};
+use clobber_pmem::{CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolMode, PoolOptions};
 use clobber_workloads::{Mix, RequestStream};
 
 /// Small log capacities keep each replayed pool cheap to create.
@@ -47,8 +45,8 @@ fn sim_cfg() -> SimNetConfig {
 
 /// Fresh pool + service, identical across calls so persist-event streams
 /// replay exactly.
-fn setup(concurrency: PoolConcurrency) -> (Arc<PmemPool>, KvService) {
-    let opts = PoolOptions::crash_sim(2 << 20).with_concurrency(concurrency);
+fn setup(shards: u32) -> (Arc<PmemPool>, KvService) {
+    let opts = PoolOptions::crash_sim(2 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Arc::new(Runtime::create(pool.clone(), net_options()).unwrap());
     let server = KvServer::create(&rt, LockScheme::BucketRw).unwrap();
@@ -87,8 +85,8 @@ fn check_table(pool: &PmemPool, server: &KvServer, ctx: &str) {
 }
 
 /// Counts the persist events one full service run issues.
-fn count_events(concurrency: PoolConcurrency) -> u64 {
-    let (pool, mut svc) = setup(concurrency);
+fn count_events(shards: u32) -> u64 {
+    let (pool, mut svc) = setup(shards);
     pool.arm_faults(FaultPlan::count_only());
     run_batched_service(&mut svc).expect("count run must not fail");
     let n = pool.disarm_faults();
@@ -99,8 +97,8 @@ fn count_events(concurrency: PoolConcurrency) -> u64 {
 
 /// Replays the run to event `k`, trips, and returns the surviving media
 /// after an adversarial power failure.
-fn crash_at(concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
-    let (pool, mut svc) = setup(concurrency);
+fn crash_at(shards: u32, k: u64) -> Vec<u8> {
+    let (pool, mut svc) = setup(shards);
     pool.arm_faults(FaultPlan::crash_at(k));
     let _ = run_batched_service(&mut svc);
     assert_eq!(pool.fault_tripped(), Some(k), "event {k} must trip");
@@ -111,9 +109,9 @@ fn crash_at(concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
 
 /// Recovers `media`, checks the table invariant, recovery idempotence,
 /// and that the recovered service keeps serving batches.
-fn recover_and_check(media: Vec<u8>, concurrency: PoolConcurrency, ctx: &str) {
+fn recover_and_check(media: Vec<u8>, shards: u32, ctx: &str) {
     let pool = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
+        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards)
             .unwrap(),
     );
     let rt = Arc::new(Runtime::open(pool.clone(), net_options()).unwrap());
@@ -150,14 +148,14 @@ fn recover_and_check(media: Vec<u8>, concurrency: PoolConcurrency, ctx: &str) {
 }
 
 /// The sweep: ~24 evenly-spaced crash points over the run.
-fn sweep_net(concurrency: PoolConcurrency) {
-    let events = count_events(concurrency);
+fn sweep_net(shards: u32) {
+    let events = count_events(shards);
     let stride = (events / 24).max(1);
     let mut k = 0;
     let mut points = 0;
     while k < events {
-        let media = crash_at(concurrency, k);
-        recover_and_check(media, concurrency, &format!("{concurrency:?} k={k}"));
+        let media = crash_at(shards, k);
+        recover_and_check(media, shards, &format!("{shards} shards k={k}"));
         points += 1;
         k += stride;
     }
@@ -165,13 +163,13 @@ fn sweep_net(concurrency: PoolConcurrency) {
 }
 
 #[test]
-fn batched_service_crash_sweep_global_lock() {
-    sweep_net(PoolConcurrency::GlobalLock);
+fn batched_service_crash_sweep_sharded1() {
+    sweep_net(1);
 }
 
 #[test]
 fn batched_service_crash_sweep_sharded4() {
-    sweep_net(PoolConcurrency::Sharded { shards: 4 });
+    sweep_net(4);
 }
 
 /// The ordering contract extends through the service layer: the whole
@@ -179,11 +177,5 @@ fn batched_service_crash_sweep_sharded4() {
 /// every shard count.
 #[test]
 fn service_event_count_is_shard_invariant() {
-    let baseline = count_events(PoolConcurrency::GlobalLock);
-    for concurrency in [
-        PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
-    ] {
-        assert_eq!(baseline, count_events(concurrency), "{concurrency:?}");
-    }
+    assert_eq!(count_events(1), count_events(4), "4 shards");
 }

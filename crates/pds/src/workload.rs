@@ -37,7 +37,7 @@ use std::sync::Arc;
 use clobber_nvm::{
     ArgList, Backend, ExploreSession, Runtime, RuntimeOptions, Schedule, ScheduleOp,
 };
-use clobber_pmem::{CacheImpl, PAddr, PmemPool, PoolConcurrency, PoolMode, PoolOptions};
+use clobber_pmem::{CacheImpl, PAddr, PmemPool, PoolMode, PoolOptions};
 
 use crate::hashmap::{
     bucket_of, head_addr, HashMap, NODE_KEY, NODE_NEXT, NODE_SIZE, NODE_VLEN, NODE_VPTR, TX_INSERT,
@@ -64,7 +64,8 @@ pub fn value_of(k: u64) -> Vec<u8> {
 /// [`clobber_nvm::ExploreSession`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreWorkload {
-    concurrency: PoolConcurrency,
+    /// Requested pool shard count (see `PoolOptions::shards`).
+    shards: u32,
     buggy: bool,
 }
 
@@ -74,18 +75,18 @@ impl ExploreWorkload {
     pub const POOL_BYTES: u64 = 4 << 20;
 
     /// The correct workload (no injected bug).
-    pub fn new(concurrency: PoolConcurrency) -> ExploreWorkload {
+    pub fn new(shards: u32) -> ExploreWorkload {
         ExploreWorkload {
-            concurrency,
+            shards,
             buggy: false,
         }
     }
 
     /// The workload with the injected ordering bug registered
     /// (test-only: nothing outside tests should construct this).
-    pub fn with_bug(concurrency: PoolConcurrency) -> ExploreWorkload {
+    pub fn with_bug(shards: u32) -> ExploreWorkload {
         ExploreWorkload {
-            concurrency,
+            shards,
             buggy: true,
         }
     }
@@ -101,7 +102,7 @@ impl ExploreWorkload {
     /// allocation sequence is fixed, so the addresses are identical on
     /// every call — [`layout`](Self::layout) relies on that.
     fn build_inner(&self) -> (Arc<PmemPool>, Runtime, PAddr, PAddr) {
-        let opts = PoolOptions::crash_sim(Self::POOL_BYTES).with_concurrency(self.concurrency);
+        let opts = PoolOptions::crash_sim(Self::POOL_BYTES).with_shards(self.shards);
         let pool = Arc::new(PmemPool::create(opts).expect("create pool"));
         let rt = Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber()))
             .expect("create runtime");
@@ -136,7 +137,7 @@ impl ExploreWorkload {
                 media,
                 PoolMode::CrashSim,
                 CacheImpl::Dense,
-                self.concurrency,
+                self.shards,
             )
             .expect("reopen pool"),
         );
@@ -273,13 +274,13 @@ mod tests {
 
     #[test]
     fn layout_is_deterministic() {
-        let wl = ExploreWorkload::new(PoolConcurrency::GlobalLock);
+        let wl = ExploreWorkload::new(1);
         assert_eq!(wl.layout(), wl.layout());
     }
 
     #[test]
     fn seed_schedule_replays_clean() {
-        let wl = ExploreWorkload::new(PoolConcurrency::GlobalLock);
+        let wl = ExploreWorkload::new(1);
         let (pool, rt) = wl.build();
         let report = wl.seed_schedule().replay(&rt);
         assert_eq!(report.ops_run, 3);
@@ -290,7 +291,7 @@ mod tests {
 
     #[test]
     fn buggy_seed_order_passes_but_marked_first_fails() {
-        let wl = ExploreWorkload::with_bug(PoolConcurrency::GlobalLock);
+        let wl = ExploreWorkload::with_bug(1);
         let seed = wl.buggy_schedule();
         let (pool, rt) = wl.build();
         seed.replay(&rt);

@@ -11,9 +11,9 @@
 //!   1 and 4.
 //! * **Deterministic 2-lane sweep** — a fixed interleaved schedule over
 //!   *both* structures through `run_on_locked`, crashed at every strided
-//!   persist event; the recovered media must be byte-identical across
-//!   `PoolConcurrency::{GlobalLock, Sharded{1,4}, SingleThread}` (the
-//!   determinism contract extended to locked transactions), and a second
+//!   persist event; the recovered media must be byte-identical at shard
+//!   counts 1 and 4 (the determinism contract extended to locked
+//!   transactions), and a second
 //!   recovery must change nothing (idempotence).
 //! * **Explorer over the real concurrent hash map** — a schedule
 //!   recorded from genuinely racing `insert_sync` threads feeds the
@@ -33,9 +33,7 @@ use clobber_nvm::{
 };
 use clobber_pds::workload::{value_of, ExploreWorkload};
 use clobber_pds::{hashmap, skiplist, HashMap, SkipList};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolConcurrency, PoolMode, PoolOptions, Tracer,
-};
+use clobber_pmem::{CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolMode, PoolOptions, Tracer};
 
 const KEYS_PER_THREAD: u64 = 10;
 
@@ -65,8 +63,8 @@ impl Handle {
     }
 }
 
-fn setup(structure: &str, concurrency: PoolConcurrency) -> (Arc<PmemPool>, Runtime, Handle) {
-    let opts = PoolOptions::crash_sim(8 << 20).with_concurrency(concurrency);
+fn setup(structure: &str, shards: u32) -> (Arc<PmemPool>, Runtime, Handle) {
+    let opts = PoolOptions::crash_sim(8 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
     let h = match structure {
@@ -116,8 +114,8 @@ fn run_racing(rt: &Runtime, h: &Handle, threads: usize) {
 
 /// Persist events a full racing run issues (approximate — racing runs are
 /// schedule-dependent — but a fine sweep upper bound).
-fn count_racing_events(structure: &str, concurrency: PoolConcurrency, threads: usize) -> u64 {
-    let (pool, rt, h) = setup(structure, concurrency);
+fn count_racing_events(structure: &str, shards: u32, threads: usize) -> u64 {
+    let (pool, rt, h) = setup(structure, shards);
     pool.arm_faults(FaultPlan::count_only());
     run_racing(&rt, &h, threads);
     pool.disarm_faults()
@@ -140,9 +138,9 @@ fn check_contents(pool: &PmemPool, h: &Handle, ctx: &str) {
 /// One racing crash point: race to event `k`, adversarial power failure,
 /// recover at the same shard count, full structural + value check, and
 /// the recovered structure keeps serving locked transactions.
-fn racing_crash_point(structure: &str, concurrency: PoolConcurrency, threads: usize, k: u64) {
-    let ctx = format!("{structure} shards={concurrency:?} threads={threads} k={k}");
-    let (pool, rt, h) = setup(structure, concurrency);
+fn racing_crash_point(structure: &str, shards: u32, threads: usize, k: u64) {
+    let ctx = format!("{structure} shards={shards} threads={threads} k={k}");
+    let (pool, rt, h) = setup(structure, shards);
     pool.arm_faults(FaultPlan::crash_at(k));
     run_racing(&rt, &h, threads);
     if pool.fault_tripped().is_none() {
@@ -158,7 +156,7 @@ fn racing_crash_point(structure: &str, concurrency: PoolConcurrency, threads: us
         .media_snapshot();
 
     let pool2 = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
+        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards)
             .unwrap(),
     );
     let rt2 = Runtime::open(pool2.clone(), rt_options()).unwrap();
@@ -193,13 +191,12 @@ fn racing_crash_point(structure: &str, concurrency: PoolConcurrency, threads: us
 
 fn racing_sweep(structure: &str, threads: usize, stride_div: u64) {
     for shards in [1u32, 4] {
-        let concurrency = PoolConcurrency::Sharded { shards };
-        let events = count_racing_events(structure, concurrency, threads);
+        let events = count_racing_events(structure, shards, threads);
         assert!(events > 0, "{structure}: racing run issues persist events");
         let stride = (events / stride_div).max(1);
         let mut k = 0;
         while k < events {
-            racing_crash_point(structure, concurrency, threads, k);
+            racing_crash_point(structure, shards, threads, k);
             k += stride;
         }
     }
@@ -227,12 +224,12 @@ fn racing_sweep_exhaustive() {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic 2-lane sweep: byte-identical recovery across engines.
+// Deterministic 2-lane sweep: byte-identical recovery across shard counts.
 
 /// Both structures in one pool, built in a fixed order so the layout is
-/// identical on every engine.
-fn setup_two(concurrency: PoolConcurrency) -> (Arc<PmemPool>, Runtime, HashMap, SkipList) {
-    let opts = PoolOptions::crash_sim(4 << 20).with_concurrency(concurrency);
+/// identical at every shard count.
+fn setup_two(shards: u32) -> (Arc<PmemPool>, Runtime, HashMap, SkipList) {
+    let opts = PoolOptions::crash_sim(4 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), rt_options()).unwrap();
     HashMap::register(&rt);
@@ -290,10 +287,10 @@ fn run_two_lane(rt: &Runtime, map: &HashMap, sl: &SkipList) -> Result<(), TxErro
     Ok(())
 }
 
-/// Crash the 2-lane schedule at event `k` on `concurrency`, recover, and
+/// Crash the 2-lane schedule at event `k` with `shards` shards, recover, and
 /// return the recovered pool's full media image.
-fn two_lane_recovered_media(concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
-    let (pool, rt, map, sl) = setup_two(concurrency);
+fn two_lane_recovered_media(shards: u32, k: u64) -> Vec<u8> {
+    let (pool, rt, map, sl) = setup_two(shards);
     pool.arm_faults(FaultPlan::crash_at(k));
     let _ = run_two_lane(&rt, &map, &sl);
     assert_eq!(pool.fault_tripped(), Some(k), "event {k} must trip");
@@ -302,47 +299,43 @@ fn two_lane_recovered_media(concurrency: PoolConcurrency, k: u64) -> Vec<u8> {
         .unwrap()
         .media_snapshot();
     let pool2 = Arc::new(
-        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, concurrency)
+        PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards)
             .unwrap(),
     );
     let rt2 = Runtime::open(pool2.clone(), rt_options()).unwrap();
     HashMap::register(&rt2);
     SkipList::register(&rt2);
     rt2.recover_with(&recover_opts())
-        .unwrap_or_else(|e| panic!("{concurrency:?} k={k}: recovery failed: {e}"));
+        .unwrap_or_else(|e| panic!("{shards} shards k={k}: recovery failed: {e}"));
     // Structural sanity on top of the byte comparison.
     check_contents(
         &pool2,
         &Handle::H(HashMap::open(rt2.app_root().unwrap())),
-        &format!("{concurrency:?} k={k}"),
+        &format!("{shards} shards k={k}"),
     );
-    check_contents(&pool2, &Handle::S(sl), &format!("{concurrency:?} k={k}"));
+    check_contents(&pool2, &Handle::S(sl), &format!("{shards} shards k={k}"));
     // Idempotence: a second recovery must not move a single byte.
     let snap = pool2.media_snapshot();
     let again = rt2.recover_with(&recover_opts()).unwrap();
-    assert!(again.is_clean(), "{concurrency:?} k={k}: {again:?}");
+    assert!(again.is_clean(), "{shards} shards k={k}: {again:?}");
     assert_eq!(
         snap,
         pool2.media_snapshot(),
-        "{concurrency:?} k={k}: re-recovery moved bytes"
+        "{shards} shards k={k}: re-recovery moved bytes"
     );
     snap
 }
 
 /// The determinism contract, extended to locked transactions: crash the
 /// fixed 2-lane schedule at every strided persist event and recover —
-/// the recovered media is byte-identical on every concurrency engine.
+/// the recovered media is byte-identical at 4 shards and on the one-shard
+/// reference.
 #[test]
 fn two_lane_sweep_recovers_byte_identically_across_engines() {
-    let engines = [
-        PoolConcurrency::GlobalLock,
-        PoolConcurrency::Sharded { shards: 1 },
-        PoolConcurrency::Sharded { shards: 4 },
-        PoolConcurrency::SingleThread,
-    ];
     // Count events once; the schedule is deterministic, so the count is
-    // engine-invariant (asserted by the sweep below tripping everywhere).
-    let (pool, rt, map, sl) = setup_two(PoolConcurrency::GlobalLock);
+    // shard-count-invariant (asserted by the sweep below tripping
+    // everywhere).
+    let (pool, rt, map, sl) = setup_two(1);
     pool.arm_faults(FaultPlan::count_only());
     run_two_lane(&rt, &map, &sl).unwrap();
     let events = pool.disarm_faults();
@@ -352,14 +345,9 @@ fn two_lane_sweep_recovers_byte_identically_across_engines() {
     let mut k = 0;
     let mut points = 0;
     while k < events {
-        let golden = two_lane_recovered_media(engines[0], k);
-        for engine in &engines[1..] {
-            let other = two_lane_recovered_media(*engine, k);
-            assert_eq!(
-                golden, other,
-                "k={k}: recovered media diverged on {engine:?}"
-            );
-        }
+        let golden = two_lane_recovered_media(1, k);
+        let other = two_lane_recovered_media(4, k);
+        assert_eq!(golden, other, "k={k}: recovered media diverged at 4 shards");
         points += 1;
         k += stride;
     }
@@ -378,7 +366,7 @@ fn two_lane_sweep_recovers_byte_identically_across_engines() {
 /// zero violations.
 #[test]
 fn explorer_clears_schedule_recorded_from_racing_hashmap_threads() {
-    let wl = ExploreWorkload::new(PoolConcurrency::GlobalLock);
+    let wl = ExploreWorkload::new(1);
     let (pool, rt) = wl.build();
     let map = HashMap::open(rt.app_root().unwrap());
 

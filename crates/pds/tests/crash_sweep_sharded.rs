@@ -14,9 +14,7 @@ use std::sync::Arc;
 
 use clobber_nvm::{Backend, Runtime, RuntimeOptions};
 use clobber_pds::{HashMap, RbTree};
-use clobber_pmem::{
-    CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolConcurrency, PoolMode, PoolOptions, Tracer,
-};
+use clobber_pmem::{CacheImpl, CrashConfig, FaultPlan, PmemPool, PoolMode, PoolOptions, Tracer};
 
 const KEYS: u64 = 12;
 
@@ -41,8 +39,8 @@ fn register(structure: &str, rt: &Runtime) {
 }
 
 /// Fresh pool + runtime with the structure created and set as app root.
-fn setup(structure: &str, concurrency: PoolConcurrency) -> (Arc<PmemPool>, Runtime, Handle) {
-    let opts = PoolOptions::crash_sim(8 << 20).with_concurrency(concurrency);
+fn setup(structure: &str, shards: u32) -> (Arc<PmemPool>, Runtime, Handle) {
+    let opts = PoolOptions::crash_sim(8 << 20).with_shards(shards);
     let pool = Arc::new(PmemPool::create(opts).unwrap());
     let rt = Runtime::create(pool.clone(), RuntimeOptions::new(Backend::clobber())).unwrap();
     register(structure, &rt);
@@ -74,8 +72,8 @@ fn run_inserts(rt: &Runtime, h: &Handle) {
 }
 
 /// Persist events the intact insert stream issues.
-fn count_events(structure: &str, concurrency: PoolConcurrency) -> u64 {
-    let (pool, rt, h) = setup(structure, concurrency);
+fn count_events(structure: &str, shards: u32) -> u64 {
+    let (pool, rt, h) = setup(structure, shards);
     pool.arm_faults(FaultPlan::count_only());
     run_inserts(&rt, &h);
     pool.disarm_faults()
@@ -91,16 +89,16 @@ struct Summary {
 }
 
 /// Sweeps strided crash points at the given shard count.
-fn sweep(structure: &str, concurrency: PoolConcurrency) -> Summary {
+fn sweep(structure: &str, shards: u32) -> Summary {
     let mut summary = Summary {
-        events: count_events(structure, concurrency),
+        events: count_events(structure, shards),
         ..Summary::default()
     };
     let stride = (summary.events / 12).max(1);
     let mut k = 0;
     while k < summary.events {
         // Crash at event k, adversarial power failure.
-        let (pool, rt, h) = setup(structure, concurrency);
+        let (pool, rt, h) = setup(structure, shards);
         pool.arm_faults(FaultPlan::crash_at(k));
         run_inserts(&rt, &h);
         assert_eq!(pool.fault_tripped(), Some(k), "{structure}: event {k}");
@@ -111,13 +109,8 @@ fn sweep(structure: &str, concurrency: PoolConcurrency) -> Summary {
 
         // Reopen at the same shard count and recover.
         let pool2 = Arc::new(
-            PmemPool::open_from_media_with(
-                media,
-                PoolMode::CrashSim,
-                CacheImpl::Dense,
-                concurrency,
-            )
-            .unwrap(),
+            PmemPool::open_from_media_with(media, PoolMode::CrashSim, CacheImpl::Dense, shards)
+                .unwrap(),
         );
         let rt2 = Runtime::open(pool2.clone(), RuntimeOptions::new(Backend::clobber())).unwrap();
         register(structure, &rt2);
@@ -166,8 +159,8 @@ fn sweep(structure: &str, concurrency: PoolConcurrency) -> Summary {
 #[test]
 fn sharded_sweep_rbtree_and_hashmap() {
     for structure in ["rbtree", "hashmap"] {
-        let base = sweep(structure, PoolConcurrency::Sharded { shards: 1 });
-        let four = sweep(structure, PoolConcurrency::Sharded { shards: 4 });
+        let base = sweep(structure, 1);
+        let four = sweep(structure, 4);
         assert_eq!(
             base, four,
             "{structure}: sweep diverged across shard counts"
@@ -183,7 +176,7 @@ fn insert_trace_is_shard_invariant() {
     for structure in ["rbtree", "hashmap"] {
         let mut traces = Vec::new();
         for shards in [1, 4] {
-            let (pool, rt, h) = setup(structure, PoolConcurrency::Sharded { shards });
+            let (pool, rt, h) = setup(structure, shards);
             let tracer = Arc::new(Tracer::new());
             pool.set_tracer(Some(tracer.clone()));
             run_inserts(&rt, &h);

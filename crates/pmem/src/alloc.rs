@@ -33,7 +33,7 @@
 //! arena 0, keeping single-threaded runs bit-identical to the single-arena
 //! layout); huge blocks always use arena 0, and exhaustion spills
 //! deterministically to the other arenas in index order. An allocator call
-//! locks only its arena's mirror plus the engine locks covering that
+//! locks only its arena's mirror plus the shard locks covering that
 //! arena's byte span, so calls on different arenas proceed in parallel.
 //!
 //! **Reservation magazines:** each thread keeps a small per-class magazine
@@ -258,9 +258,8 @@ thread_local! {
     static ALLOC_TLS: RefCell<AllocTls> = RefCell::new(AllocTls::default());
 }
 
-/// Cache-aware persistent write helpers used while the engine's locks are
-/// held (the whole pool under the global lock, or one arena mirror + the
-/// shards covering the arena's span).
+/// Cache-aware persistent write helpers used while one arena mirror and the
+/// shards covering the arena's span are locked.
 struct Ops<'a, 'b> {
     raw: &'a mut (dyn RawPmem + 'b),
     mode: PoolMode,
@@ -307,8 +306,8 @@ impl<'a, 'b> Ops<'a, 'b> {
         }
     }
 
-    /// Credits the accumulated hot-path counters while the engine's locks
-    /// are still held. Call exactly once, after the last persist op.
+    /// Credits the accumulated hot-path counters while the shard locks are
+    /// still held. Call exactly once, after the last persist op.
     fn finish(self) {
         self.raw
             .credit_hot(self.flushes, self.fences, self.write_bytes);
@@ -789,7 +788,7 @@ impl PmemPool {
     /// violation found.
     pub fn check_heap(&self) -> Result<HeapReport, PmemError> {
         // A diagnostic walk over the durable image: operating on a snapshot
-        // keeps it engine-agnostic (and off every hot lock).
+        // keeps it shard-agnostic (and off every hot lock).
         let media = self.media_snapshot();
         let media = &media[..];
         let mut report = HeapReport::default();

@@ -89,8 +89,8 @@ impl ArenaLayout {
 /// its heap runs from `HEAP_BASE` up to `main_hi`, so a single-arena pool is
 /// one contiguous heap and huge allocations keep the largest region. Side
 /// arenas are fixed-size spans carved from the top of the pool. Geometry is
-/// a property of the pool *format*, never of the engine or shard count, so
-/// every concurrency mode computes identical block addresses.
+/// a property of the pool *format*, never of the shard count, so every
+/// shard count computes identical block addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct HeapGeometry {
     arenas: Vec<ArenaLayout>,
@@ -230,41 +230,6 @@ pub enum CacheImpl {
     Reference,
 }
 
-/// How the pool synchronizes its internal state.
-///
-/// All three modes implement the identical durability contract and produce
-/// bit-identical durable media, counters (in aggregate) and seeded crash
-/// outcomes; they differ only in how the hot path locks. The lock-step
-/// property test (`tests/proptest_shard_equiv.rs`) holds them to that.
-///
-/// **Persist-event ordering across shards:** fault injection needs one
-/// coherent total order of persist events no matter how many shards exist.
-/// That order is defined by acquisition order on the pool's single fault
-/// mutex, which every armed store/flush/fence acquires *before* touching
-/// any shard. Disarmed pools skip the mutex entirely (one relaxed atomic
-/// load), so the ordering authority costs nothing unless a [`FaultPlan`]
-/// is armed — and while armed, a fixed single-threaded workload trips at
-/// the same event index regardless of shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolConcurrency {
-    /// One mutex around all pool state — the retained reference
-    /// implementation the sharded modes are tested against.
-    #[default]
-    GlobalLock,
-    /// State is partitioned into contiguous, line-aligned address ranges,
-    /// each behind its own lock; disjoint-range operations proceed in
-    /// parallel. Requests are clamped to at least one line per shard, so
-    /// the effective shard count may be lower for tiny pools.
-    Sharded {
-        /// Requested number of address-range shards (clamped to ≥ 1).
-        shards: u32,
-    },
-    /// No locking on the hot path at all. The first thread to touch the
-    /// pool claims it; any access from another thread panics. For
-    /// single-threaded benchmarks and harnesses.
-    SingleThread,
-}
-
 /// Configuration for [`PmemPool::create`].
 ///
 /// # Example
@@ -284,13 +249,33 @@ pub struct PoolOptions {
     pub mode: PoolMode,
     /// Cache implementation (crash-sim mode only).
     pub cache_impl: CacheImpl,
-    /// Locking strategy for the pool's internal state.
-    pub concurrency: PoolConcurrency,
+    /// Requested number of address-range shards (default 1). The pool's
+    /// media and simulated cache are partitioned into contiguous,
+    /// line-aligned ranges, each behind its own lock, so operations on
+    /// disjoint ranges proceed in parallel. Requests are clamped to
+    /// `1..=4096` and to at least one line per shard, so the effective
+    /// count ([`PmemPool::shard_count`]) may be lower for tiny pools.
+    ///
+    /// The shard count is invisible by contract: every count produces
+    /// bit-identical durable media, counters (in aggregate) and seeded
+    /// crash outcomes, with the one-shard pool as the reference
+    /// (`tests/proptest_shard_equiv.rs` holds them to that).
+    ///
+    /// **Persist-event ordering across shards:** fault injection needs one
+    /// coherent total order of persist events no matter how many shards
+    /// exist. That order is defined by acquisition order on the pool's
+    /// single fault mutex, which every armed store/flush/fence acquires
+    /// *before* touching any shard. Disarmed pools skip the mutex entirely
+    /// (one relaxed atomic load), so the ordering authority costs nothing
+    /// unless a [`FaultPlan`] is armed — and while armed, a fixed
+    /// single-threaded workload trips at the same event index regardless of
+    /// shard count.
+    pub shards: u32,
     /// Requested allocator arena count (clamped to what the capacity can
     /// hold; tiny pools stay single-arena). Arenas partition the heap so
     /// concurrent allocator calls from different threads take disjoint
     /// locks; the partition is persisted in the pool header and independent
-    /// of the concurrency mode.
+    /// of the shard count.
     pub arenas: u32,
 }
 
@@ -304,7 +289,7 @@ impl PoolOptions {
             capacity,
             mode: PoolMode::Performance,
             cache_impl: CacheImpl::Dense,
-            concurrency: PoolConcurrency::GlobalLock,
+            shards: 1,
             arenas: DEFAULT_ARENAS,
         }
     }
@@ -315,7 +300,7 @@ impl PoolOptions {
             capacity,
             mode: PoolMode::CrashSim,
             cache_impl: CacheImpl::Dense,
-            concurrency: PoolConcurrency::GlobalLock,
+            shards: 1,
             arenas: DEFAULT_ARENAS,
         }
     }
@@ -334,21 +319,10 @@ impl PoolOptions {
         self
     }
 
-    /// Partitions pool state into `shards` address-range shards.
+    /// Partitions pool state into `shards` address-range shards (see
+    /// [`shards`](Self::shards)).
     pub fn with_shards(mut self, shards: u32) -> Self {
-        self.concurrency = PoolConcurrency::Sharded { shards };
-        self
-    }
-
-    /// Selects the lock-free single-thread hot path.
-    pub fn single_thread(mut self) -> Self {
-        self.concurrency = PoolConcurrency::SingleThread;
-        self
-    }
-
-    /// Selects an explicit [`PoolConcurrency`] mode.
-    pub fn with_concurrency(mut self, concurrency: PoolConcurrency) -> Self {
-        self.concurrency = concurrency;
+        self.shards = shards;
         self
     }
 }
@@ -446,12 +420,11 @@ impl fmt::Display for PmemError {
 
 impl Error for PmemError {}
 
-/// One contiguous span of media plus its simulated cache — the unit both
-/// engines are built from: the global engine holds exactly one covering the
-/// whole pool, the sharded engine holds one per address-range shard.
+/// One contiguous span of media plus its simulated cache: the unit a pool
+/// is built from, one per address-range shard (a one-shard pool holds
+/// exactly one covering the whole pool).
 ///
-/// All offsets are local to `media` (for the global engine, local equals
-/// pool-global).
+/// All offsets are local to `media`.
 pub(crate) struct MediaCache {
     pub(crate) media: Vec<u8>,
     /// Simulated cache. Stays clean (and unallocated) in performance mode.
@@ -512,35 +485,13 @@ impl MediaCache {
     }
 }
 
-/// Mutable state of the single-lock (reference) engine.
-pub(crate) struct PoolInner {
-    pub(crate) mc: MediaCache,
-    /// Volatile mirrors of the allocator metadata, one per arena.
-    pub(crate) mirrors: Vec<ArenaMirror>,
-}
-
-impl PoolInner {
-    fn new(media: Vec<u8>, cache_impl: CacheImpl, geom: &HeapGeometry) -> PoolInner {
-        let mirrors = geom
-            .arenas()
-            .iter()
-            .map(|&l| ArenaMirror::rebuild(&media, l))
-            .collect();
-        PoolInner {
-            mc: MediaCache::new(media, cache_impl),
-            mirrors,
-        }
-    }
-}
-
 /// Raw persist operations over pool-global offsets, with bounds already
-/// checked by the caller. The allocator runs against this so one
-/// implementation serves both engines; for the sharded engine the
-/// implementor holds the shards overlapping the owning arena's span for the
-/// duration of the allocator operation, giving that arena's metadata
-/// updates the same atomicity they have under the global lock. Fences are
-/// arena-scoped in *both* engines (see [`Cache::fence_range`]) so the
-/// durable outcome never depends on the engine or shard count.
+/// checked by the caller. The allocator runs against this: the implementor
+/// holds the shards overlapping the owning arena's span for the duration of
+/// the allocator operation, giving that arena's metadata updates the same
+/// atomicity at every shard count. Fences are arena-scoped (see
+/// [`Cache::fence_range`]) so the durable outcome never depends on the
+/// shard count.
 pub(crate) trait RawPmem {
     fn read_raw(&mut self, offset: u64, buf: &mut [u8]);
     fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode);
@@ -548,58 +499,23 @@ pub(crate) trait RawPmem {
     /// Orders previously flushed lines within the owning arena's span.
     fn fence_raw(&mut self);
     /// Credits hot-path counters accumulated over an allocator operation.
-    /// Must be called while the implementor still holds its locks (the
-    /// sharded engine writes a per-shard bank that requires exclusivity).
+    /// Must be called while the implementor still holds its locks (it
+    /// writes a per-shard bank that requires exclusivity).
     fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64);
-}
-
-/// [`RawPmem`] over the global engine's single `MediaCache`, scoped to one
-/// arena's byte span for fencing.
-struct GlobalRaw<'a> {
-    mc: &'a mut MediaCache,
-    stats: &'a PmemStats,
-    /// The owning arena's `[lo, hi)` span — the fence scope.
-    span: (u64, u64),
-}
-
-impl RawPmem for GlobalRaw<'_> {
-    fn read_raw(&mut self, offset: u64, buf: &mut [u8]) {
-        self.mc.read_raw(offset, buf);
-    }
-    fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
-        self.mc.write_raw(offset, data, mode);
-    }
-    fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
-        self.mc.flush_raw(offset, len, mode)
-    }
-    fn fence_raw(&mut self) {
-        self.mc.fence_range_raw(self.span.0, self.span.1);
-    }
-    fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64) {
-        self.stats.bump(&self.stats.flushes, flushes);
-        self.stats.bump(&self.stats.fences, fences);
-        self.stats.bump(&self.stats.write_bytes, write_bytes);
-    }
-}
-
-/// The synchronization engine behind a pool.
-enum Engine {
-    /// Everything behind one mutex (the reference design).
-    Global(Mutex<PoolInner>),
-    /// Address-range shards, each behind its own lock (or unsynchronized
-    /// owner-checked cells in `SingleThread` mode).
-    Sharded(ShardedPool),
 }
 
 /// A simulated persistent memory pool.
 ///
-/// All methods take `&self`; internal state is protected by a mutex, so a
-/// pool can be shared across threads via [`Arc`]. See the
-/// [crate documentation](crate) for the durability contract.
+/// All methods take `&self`; internal state is protected by per-shard
+/// mutexes (see [`PoolOptions::shards`]), so a pool can be shared across
+/// threads via [`Arc`]. See the [crate documentation](crate) for the
+/// durability contract.
 pub struct PmemPool {
     mode: PoolMode,
     cache_impl: CacheImpl,
-    concurrency: PoolConcurrency,
+    /// Requested shard count, kept so [`crash`](Self::crash) reopens under
+    /// the same configuration.
+    shards_requested: u32,
     capacity: u64,
     /// Arena partition, read from the pool header.
     geom: HeapGeometry,
@@ -620,9 +536,9 @@ pub struct PmemPool {
     /// The single fault injector and event tracer. While armed (or traced),
     /// acquisition order on this mutex defines the pool-wide total order of
     /// persist events — the shard-ordering model documented on
-    /// [`PoolConcurrency`].
+    /// [`PoolOptions::shards`].
     faults: Mutex<FaultState>,
-    engine: Engine,
+    shards: ShardedPool,
 }
 
 impl fmt::Debug for PmemPool {
@@ -663,7 +579,7 @@ impl PmemPool {
             media,
             opts.mode,
             opts.cache_impl,
-            opts.concurrency,
+            opts.shards,
             geom,
         ))
     }
@@ -677,12 +593,12 @@ impl PmemPool {
     ///
     /// Returns [`PmemError::CorruptPool`] if the header fails validation.
     pub fn open_from_media(media: Vec<u8>, mode: PoolMode) -> Result<PmemPool, PmemError> {
-        Self::open_from_media_with(media, mode, CacheImpl::Dense, PoolConcurrency::GlobalLock)
+        Self::open_from_media_with(media, mode, CacheImpl::Dense, 1)
     }
 
     /// As [`open_from_media`](Self::open_from_media), with an explicit cache
-    /// model and concurrency mode (the crash-sweep harness reopens crashed
-    /// media under the same configuration it ran with).
+    /// model and requested shard count (the crash-sweep harness reopens
+    /// crashed media under the same configuration it ran with).
     ///
     /// # Errors
     ///
@@ -691,7 +607,7 @@ impl PmemPool {
         mut media: Vec<u8>,
         mode: PoolMode,
         cache_impl: CacheImpl,
-        concurrency: PoolConcurrency,
+        shards: u32,
     ) -> Result<PmemPool, PmemError> {
         if media.len() < (layout::HEAP_BASE + 4096) as usize {
             return Err(PmemError::CorruptPool("media shorter than metadata".into()));
@@ -709,50 +625,32 @@ impl PmemPool {
         }
         let geom = HeapGeometry::read(&media)?;
         crate::alloc::replay_redo(&mut media, &geom);
-        Ok(Self::assemble(media, mode, cache_impl, concurrency, geom))
+        Ok(Self::assemble(media, mode, cache_impl, shards, geom))
     }
 
-    /// Builds the engine and stats for validated media.
+    /// Builds the shards and stats for validated media.
     fn assemble(
         media: Vec<u8>,
         mode: PoolMode,
         cache_impl: CacheImpl,
-        concurrency: PoolConcurrency,
+        shards_requested: u32,
         geom: HeapGeometry,
     ) -> PmemPool {
         let capacity = media.len() as u64;
-        let engine = match concurrency {
-            PoolConcurrency::GlobalLock => {
-                Engine::Global(Mutex::new(PoolInner::new(media, cache_impl, &geom)))
-            }
-            PoolConcurrency::Sharded { shards } => Engine::Sharded(ShardedPool::new(
-                media,
-                cache_impl,
-                shards as usize,
-                false,
-                &geom,
-            )),
-            PoolConcurrency::SingleThread => {
-                Engine::Sharded(ShardedPool::new(media, cache_impl, 1, true, &geom))
-            }
-        };
-        let stats = Arc::new(match &engine {
-            Engine::Global(_) => PmemStats::new(),
-            Engine::Sharded(s) => PmemStats::with_banks(s.shard_count()),
-        });
+        let shards = ShardedPool::new(media, cache_impl, shards_requested as usize, &geom);
         PmemPool {
             mode,
             cache_impl,
-            concurrency,
+            shards_requested,
             capacity,
             geom,
             pool_id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             next_arena: AtomicU32::new(0),
-            stats,
+            stats: Arc::new(PmemStats::with_banks(shards.shard_count())),
             faults_armed: AtomicBool::new(false),
             trace_on: AtomicBool::new(false),
             faults: Mutex::new(FaultState::default()),
-            engine,
+            shards,
         }
     }
 
@@ -777,8 +675,8 @@ impl PmemPool {
     }
 
     /// The allocator arena whose span contains `offset`. Recovery uses
-    /// this to partition slot work along the same boundaries the sharded
-    /// engine already locks independently.
+    /// this to partition slot work along the same boundaries the allocator
+    /// already locks independently.
     pub fn arena_of_offset(&self, offset: u64) -> usize {
         self.geom.arena_of(offset)
     }
@@ -788,18 +686,10 @@ impl PmemPool {
         self.mode
     }
 
-    /// The pool's concurrency mode.
-    pub fn concurrency(&self) -> PoolConcurrency {
-        self.concurrency
-    }
-
-    /// The number of address-range shards (1 for the global-lock and
-    /// single-thread engines).
+    /// The effective number of address-range shards (the request clamped
+    /// to the capacity; see [`PoolOptions::shards`]).
     pub fn shard_count(&self) -> usize {
-        match &self.engine {
-            Engine::Global(_) => 1,
-            Engine::Sharded(s) => s.shard_count(),
-        }
+        self.shards.shard_count()
     }
 
     /// The pool capacity in bytes.
@@ -807,31 +697,17 @@ impl PmemPool {
         self.capacity
     }
 
-    /// Runs `f` with arena `idx`'s mirror and raw persist ops, holding
-    /// whatever locks the engine needs: the global mutex, or the arena's
-    /// mirror lock plus only the shards overlapping the arena's span, in
-    /// ascending order — the documented lock order (at most one arena
-    /// mirror per thread, then shards ascending, so disjoint arenas never
-    /// deadlock and mostly don't contend).
+    /// Runs `f` with arena `idx`'s mirror and raw persist ops, holding the
+    /// arena's mirror lock plus only the shards overlapping the arena's
+    /// span, in ascending order — the documented lock order (at most one
+    /// arena mirror per thread, then shards ascending, so disjoint arenas
+    /// never deadlock and mostly don't contend).
     pub(crate) fn with_arena_raw<R>(
         &self,
         idx: usize,
         f: impl FnOnce(&mut ArenaMirror, &mut dyn RawPmem) -> R,
     ) -> R {
-        match &self.engine {
-            Engine::Global(m) => {
-                let span = self.geom.arenas()[idx].span();
-                let mut guard = m.lock();
-                let inner = &mut *guard;
-                let mut raw = GlobalRaw {
-                    mc: &mut inner.mc,
-                    stats: &self.stats,
-                    span,
-                };
-                f(&mut inner.mirrors[idx], &mut raw)
-            }
-            Engine::Sharded(s) => s.with_arena_raw(idx, &self.stats, f),
-        }
+        self.shards.with_arena_raw(idx, &self.stats, f)
     }
 
     /// Runs `f` with just arena `idx`'s mirror locked.
@@ -840,10 +716,7 @@ impl PmemPool {
         idx: usize,
         f: impl FnOnce(&mut ArenaMirror) -> R,
     ) -> R {
-        match &self.engine {
-            Engine::Global(m) => f(&mut m.lock().mirrors[idx]),
-            Engine::Sharded(s) => s.with_arena_mirror(idx, f),
-        }
+        self.shards.with_arena_mirror(idx, f)
     }
 
     /// The pool's persistence-event counters.
@@ -1039,13 +912,7 @@ impl PmemPool {
         let first_line = offset / CACHE_LINE;
         let cut = ((first_line + surviving) * CACHE_LINE - offset) as usize;
         let cut = cut.min(data.len());
-        match &self.engine {
-            Engine::Global(m) => {
-                let s = offset as usize;
-                m.lock().mc.media[s..s + cut].copy_from_slice(&data[..cut]);
-            }
-            Engine::Sharded(s) => s.media_write(offset, &data[..cut]),
-        }
+        self.shards.media_write(offset, &data[..cut]);
     }
 
     /// Consults the injector before a read: dead pools refuse, and a plan
@@ -1095,24 +962,15 @@ impl PmemPool {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut chosen = std::collections::HashSet::new();
         // Draw the bit positions first (the sequence must not depend on the
-        // engine), then apply the flips — XOR commutes, so order is moot.
+        // shard count), then apply the flips — XOR commutes, so order is
+        // moot.
         while chosen.len() < flips as usize {
             let bit: u64 = rng.gen_range(0..bits);
             chosen.insert(bit);
         }
-        match &self.engine {
-            Engine::Global(m) => {
-                let mut inner = m.lock();
-                for &bit in &chosen {
-                    let byte = (addr.offset() + bit / 8) as usize;
-                    inner.mc.media[byte] ^= 1 << (bit % 8);
-                }
-            }
-            Engine::Sharded(s) => {
-                for &bit in &chosen {
-                    s.media_xor(addr.offset() + bit / 8, 1 << (bit % 8));
-                }
-            }
+        for &bit in &chosen {
+            self.shards
+                .media_xor(addr.offset() + bit / 8, 1 << (bit % 8));
         }
         self.stats.bump(&self.stats.faults_tripped, 1);
         Ok(())
@@ -1140,14 +998,7 @@ impl PmemPool {
         if self.faults_armed.load(Ordering::Relaxed) {
             self.fault_read_event(addr.offset())?;
         }
-        match &self.engine {
-            Engine::Global(m) => {
-                self.stats.bump(&self.stats.reads, 1);
-                self.stats.bump(&self.stats.read_bytes, buf.len() as u64);
-                m.lock().mc.read_raw(addr.offset(), buf);
-            }
-            Engine::Sharded(s) => s.read(addr.offset(), buf, &self.stats),
-        }
+        self.shards.read(addr.offset(), buf, &self.stats);
         Ok(())
     }
 
@@ -1189,14 +1040,8 @@ impl PmemPool {
                 Some((addr.offset(), data)),
             )?;
         }
-        match &self.engine {
-            Engine::Global(m) => {
-                self.stats.bump(&self.stats.writes, 1);
-                self.stats.bump(&self.stats.write_bytes, data.len() as u64);
-                m.lock().mc.write_raw(addr.offset(), data, self.mode);
-            }
-            Engine::Sharded(s) => s.write(addr.offset(), data, self.mode, &self.stats),
-        }
+        self.shards
+            .write(addr.offset(), data, self.mode, &self.stats);
         Ok(())
     }
 
@@ -1221,13 +1066,8 @@ impl PmemPool {
         if self.hooks_engaged() {
             self.fault_persist_event(EventKind::Flush, addr.offset(), len, None)?;
         }
-        match &self.engine {
-            Engine::Global(m) => {
-                let n = m.lock().mc.flush_raw(addr.offset(), len, self.mode);
-                self.stats.bump(&self.stats.flushes, n);
-            }
-            Engine::Sharded(s) => s.flush(addr.offset(), len, self.mode, &self.stats),
-        }
+        self.shards
+            .flush(addr.offset(), len, self.mode, &self.stats);
         Ok(())
     }
 
@@ -1245,15 +1085,7 @@ impl PmemPool {
         {
             return;
         }
-        match &self.engine {
-            Engine::Global(m) => {
-                self.stats.bump(&self.stats.fences, 1);
-                if self.mode == PoolMode::CrashSim {
-                    m.lock().mc.fence_raw();
-                }
-            }
-            Engine::Sharded(s) => s.fence(self.mode, &self.stats),
-        }
+        self.shards.fence(self.mode, &self.stats);
     }
 
     /// Flush-and-fence convenience: makes `[addr, addr+len)` durable.
@@ -1303,9 +1135,9 @@ impl PmemPool {
         let cfg = &cfg.clamped();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // One survival draw per modified line, in ascending line order —
-        // both cache models and both engines visit identically (the sharded
-        // engine walks shards in ascending address order, and shard bases
-        // are line-aligned, so its draw sequence equals the global one).
+        // both cache models and every shard count visit identically (shards
+        // are walked in ascending address order, and shard bases are
+        // line-aligned, so the draw sequence equals the one-shard one).
         let mut draw = |flush_pending: bool| {
             if flush_pending {
                 rng.gen_bool(cfg.p_flushed_unfenced)
@@ -1313,33 +1145,14 @@ impl PmemPool {
                 rng.gen_bool(cfg.p_dirty)
             }
         };
-        let media = match &self.engine {
-            Engine::Global(m) => {
-                let inner = m.lock();
-                let mut media = inner.mc.media.clone();
-                inner
-                    .mc
-                    .cache
-                    .for_each_modified(|line, flush_pending, bytes| {
-                        if draw(flush_pending) {
-                            let s = (line * CACHE_LINE) as usize;
-                            media[s..s + CACHE_LINE as usize].copy_from_slice(bytes);
-                        }
-                    });
-                media
-            }
-            Engine::Sharded(s) => s.crash_media(&mut draw),
-        };
-        PmemPool::open_from_media_with(media, self.mode, self.cache_impl, self.concurrency)
+        let media = self.shards.crash_media(&mut draw);
+        PmemPool::open_from_media_with(media, self.mode, self.cache_impl, self.shards_requested)
     }
 
     /// Returns a copy of the durable media contents (what a crash with
     /// [`CrashConfig::drop_all`] would preserve, before redo replay).
     pub fn media_snapshot(&self) -> Vec<u8> {
-        match &self.engine {
-            Engine::Global(m) => m.lock().mc.media.clone(),
-            Engine::Sharded(s) => s.media_snapshot(),
-        }
+        self.shards.media_snapshot()
     }
 }
 

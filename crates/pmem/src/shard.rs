@@ -1,65 +1,51 @@
-//! The sharded pool engine: address-range shards, each behind its own lock.
+//! The pool engine: address-range shards, each behind its own lock.
 //!
 //! The pool's media and simulated cache are partitioned into contiguous,
 //! cache-line-aligned byte ranges. Operations touching one range take one
 //! shard lock; operations spanning a boundary visit the overlapping shards
 //! in ascending address order. Because shard bases are line-aligned, a line
 //! never spans shards, and the ascending-shard × ascending-local-line walk
-//! used by [`ShardedPool::crash_media`] reproduces exactly the global
-//! ascending line order of the single-lock engine — which is what keeps
-//! seeded crash outcomes bit-identical across engines and shard counts.
+//! used by [`ShardedPool::crash_media`] reproduces exactly the ascending
+//! line order of the one-shard pool — which is what keeps seeded crash
+//! outcomes bit-identical across shard counts.
 //!
-//! Ordering model (documented on [`PoolConcurrency`]): fault injection,
+//! The one-shard pool (the default) is the reference every other shard
+//! count is tested against: one `MediaCache` under one lock.
+//!
+//! Ordering model (documented on [`PoolOptions::shards`]): fault injection,
 //! persist-event numbering, and event tracing live *outside* the shards, on
 //! the pool's single fault mutex, consulted before any shard is touched.
 //! Shards therefore never need to agree on an event order among themselves —
 //! and a trace recorded under that mutex is the same pool-wide total order
-//! at every shard count, which is what makes golden traces engine-invariant.
-//!
-//! `SingleThread` mode reuses this engine with one shard held in an
-//! owner-checked [`UnsafeCell`] instead of a mutex: the first thread to
-//! touch the pool claims it with a CAS on a thread-local token, and every
-//! later access checks the claim (and panics on a foreign thread) before
-//! the cell is dereferenced — so the unsynchronized access stays sound.
+//! at every shard count, which is what makes golden traces shard-invariant.
 //!
 //! Allocator state is per-arena: each arena's volatile [`ArenaMirror`] sits
 //! behind its own mutex, and an allocator operation locks that mirror plus
 //! only the shards overlapping the arena's byte span (mirror first, then
 //! shards ascending — at most one mirror per thread, so threads working
 //! disjoint arenas never contend and the global acquisition order stays
-//! acyclic even when arena boundaries share a shard).
+//! acyclic even when arena boundaries share a shard). An arena inside one
+//! shard — every arena of a one-shard pool — gets a [`RawPmem`] over that
+//! single shard, so the common allocator path neither allocates nor
+//! translates guard indices.
 //!
 //! Hot-path statistics go to per-shard [`ShardCounters`] banks owned by the
 //! shard lock holder; [`PmemStats::snapshot`] folds them back into pool
 //! totals. Operation counts attribute to the shard holding the first byte;
 //! flush line counts attribute per shard (they sum to the same geometry the
-//! global engine reports); fences attribute to shard 0, and allocator
+//! one-shard pool reports); fences attribute to shard 0, and allocator
 //! hot-path credits to the first shard of the owning arena's span.
 //!
-//! [`PoolConcurrency`]: crate::PoolConcurrency
+//! [`PoolOptions::shards`]: crate::PoolOptions::shards
 //! [`ShardCounters`]: crate::stats::ShardCounters
 //! [`PmemStats::snapshot`]: crate::PmemStats::snapshot
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::{align_up, CACHE_LINE};
 use crate::alloc::ArenaMirror;
 use crate::pool::{CacheImpl, HeapGeometry, MediaCache, PoolMode, RawPmem};
-use crate::stats::PmemStats;
-
-thread_local! {
-    /// Address-identity token for the `SingleThread` owner check: the TLS
-    /// slot's address is unique per live thread and far cheaper to read
-    /// than `std::thread::current()`.
-    static THREAD_TOKEN: u8 = const { 0 };
-}
-
-fn thread_token() -> usize {
-    THREAD_TOKEN.with(|t| t as *const u8 as usize)
-}
+use crate::stats::{PmemStats, ShardCounters};
 
 /// One address-range shard: a base offset plus its media/cache span.
 pub(crate) struct Shard {
@@ -101,39 +87,35 @@ impl Shard {
     }
 }
 
-/// A shard slot: locked for `Sharded`, owner-checked for `SingleThread`.
-enum ShardCell {
-    Locked(Mutex<Shard>),
-    Unsync(UnsafeCell<Shard>),
-}
-
-// SAFETY: the `Unsync` variant is only dereferenced by
-// `ShardedPool::with_shard`/`with_arena_raw` after `check_owner` has
-// established that the calling thread holds the pool's exclusive ownership
-// claim, so no two threads can alias the cell's contents.
-unsafe impl Sync for ShardCell {}
-
-/// The sharded engine: contiguous address-range shards plus one allocator
+/// The pool engine: contiguous address-range shards plus one allocator
 /// mirror lock per arena.
 ///
 /// Lock order, where multiple locks are held: one arena mirror → the shards
 /// overlapping that arena's span, ascending. The pool-level fault mutex is
 /// never held across a shard acquisition.
 pub(crate) struct ShardedPool {
-    cells: Box<[ShardCell]>,
+    shards: Box<[Mutex<Shard>]>,
     /// Bytes per shard (multiple of [`CACHE_LINE`]); the last shard holds
     /// the remainder.
     shard_bytes: u64,
     capacity: u64,
-    /// Volatile allocator mirrors, one per arena — allocator paths lock the
-    /// owning arena's mirror first, then the shards its span overlaps,
-    /// giving that arena's metadata updates global-lock atomicity.
-    mirrors: Box<[Mutex<ArenaMirror>]>,
-    /// `[lo, hi)` byte span of each arena (metadata + heap).
-    arena_spans: Vec<(u64, u64)>,
-    /// `SingleThread` ownership claim (0 = unclaimed, else the owner's
-    /// thread token). Unused when all cells are `Locked`.
-    owner: AtomicUsize,
+    /// One entry per allocator arena.
+    arenas: Box<[Arena]>,
+}
+
+/// One allocator arena as the shards see it: its volatile mirror, its byte
+/// span and the shards that span overlaps (fixed when the pool opens).
+struct Arena {
+    /// Allocator paths lock this mirror first, then the shards the span
+    /// overlaps, so the arena's metadata updates are as atomic as under one
+    /// pool lock.
+    mirror: Mutex<ArenaMirror>,
+    /// `[lo, hi)` byte span (metadata + heap) — the fence scope.
+    span: (u64, u64),
+    /// Index of the shard holding the span's first byte.
+    first_shard: usize,
+    /// Index of the shard holding the span's last byte.
+    last_shard: usize,
 }
 
 impl ShardedPool {
@@ -141,22 +123,29 @@ impl ShardedPool {
         media: Vec<u8>,
         cache_impl: CacheImpl,
         shards: usize,
-        unsync: bool,
         geom: &HeapGeometry,
     ) -> ShardedPool {
         let capacity = media.len() as u64;
-        let mirrors: Vec<Mutex<ArenaMirror>> = geom
-            .arenas()
-            .iter()
-            .map(|&l| Mutex::new(ArenaMirror::rebuild(&media, l)))
-            .collect();
-        let arena_spans = geom.arenas().iter().map(|l| l.span()).collect();
         let want = shards.clamp(1, 4096) as u64;
         let shard_bytes = align_up(capacity.div_ceil(want).max(1), CACHE_LINE);
+        let count = capacity.div_ceil(shard_bytes) as usize;
+        let shard_of = |offset: u64| ((offset / shard_bytes) as usize).min(count - 1);
+        let arenas = geom
+            .arenas()
+            .iter()
+            .map(|&l| {
+                let (lo, hi) = l.span();
+                Arena {
+                    mirror: Mutex::new(ArenaMirror::rebuild(&media, l)),
+                    span: (lo, hi),
+                    first_shard: shard_of(lo),
+                    last_shard: shard_of(hi - 1),
+                }
+            })
+            .collect();
         // Carve from the back: `split_off` copies only the piece it returns,
         // so each byte is copied at most once, and the head keeps the
         // original allocation (less its spare capacity).
-        let count = capacity.div_ceil(shard_bytes) as usize;
         let mut pieces = Vec::with_capacity(count);
         let mut rest = media;
         for idx in (1..count).rev() {
@@ -164,73 +153,33 @@ impl ShardedPool {
         }
         rest.shrink_to_fit();
         pieces.push(rest);
-        let cells = pieces.into_iter().rev().enumerate().map(|(idx, piece)| {
-            let shard = Shard {
+        let shards = pieces.into_iter().rev().enumerate().map(|(idx, piece)| {
+            Mutex::new(Shard {
                 base: idx as u64 * shard_bytes,
                 mc: MediaCache::new(piece, cache_impl),
-            };
-            if unsync {
-                ShardCell::Unsync(UnsafeCell::new(shard))
-            } else {
-                ShardCell::Locked(Mutex::new(shard))
-            }
+            })
         });
         ShardedPool {
-            cells: cells.collect(),
+            shards: shards.collect(),
             shard_bytes,
             capacity,
-            mirrors: mirrors.into_boxed_slice(),
-            arena_spans,
-            owner: AtomicUsize::new(0),
+            arenas,
         }
     }
 
     pub(crate) fn shard_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Verifies (or establishes) this thread's `SingleThread` ownership.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a second thread touches a `SingleThread` pool.
-    fn check_owner(&self) {
-        let me = thread_token();
-        // A relaxed load suffices for the owner re-check: only this thread
-        // can have stored `me`.
-        let cur = self.owner.load(Ordering::Relaxed);
-        if cur == me {
-            return;
-        }
-        if cur == 0
-            && self
-                .owner
-                .compare_exchange(0, me, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            return;
-        }
-        panic!("PoolConcurrency::SingleThread pool accessed from a second thread");
+        self.shards.len()
     }
 
     /// Runs `f` with exclusive access to shard `idx`.
     fn with_shard<R>(&self, idx: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
-        match &self.cells[idx] {
-            ShardCell::Locked(m) => f(&mut m.lock()),
-            ShardCell::Unsync(c) => {
-                self.check_owner();
-                // SAFETY: `check_owner` established that this thread holds
-                // the pool's exclusive claim, so no other reference to the
-                // shard exists (see `ShardCell`'s `Sync` justification).
-                f(unsafe { &mut *c.get() })
-            }
-        }
+        f(&mut self.shards[idx].lock())
     }
 
     /// Shard index containing `offset`, clamped so a zero-length access at
     /// `offset == capacity` still lands on the last shard.
     fn shard_index(&self, offset: u64) -> usize {
-        ((offset / self.shard_bytes) as usize).min(self.cells.len() - 1)
+        ((offset / self.shard_bytes) as usize).min(self.shards.len() - 1)
     }
 
     /// Visits each `(shard_index, range_start, range_len)` piece of
@@ -313,7 +262,7 @@ impl ShardedPool {
             });
             return;
         }
-        for idx in 0..self.cells.len() {
+        for idx in 0..self.shards.len() {
             self.with_shard(idx, |sh| {
                 if idx == 0 {
                     let b = stats.bank(0);
@@ -348,7 +297,7 @@ impl ShardedPool {
     /// Concatenated durable media, ascending shard order.
     pub(crate) fn media_snapshot(&self) -> Vec<u8> {
         let mut media = Vec::with_capacity(self.capacity as usize);
-        for idx in 0..self.cells.len() {
+        for idx in 0..self.shards.len() {
             self.with_shard(idx, |sh| media.extend_from_slice(&sh.mc.media));
         }
         media
@@ -357,10 +306,10 @@ impl ShardedPool {
     /// Post-crash media image: durable bytes plus every modified line that
     /// `draw` lets survive. Ascending shard order × ascending local line
     /// order equals the global ascending line order, so `draw` sees the
-    /// same sequence the single-lock engine produces.
+    /// same sequence the one-shard pool produces.
     pub(crate) fn crash_media(&self, draw: &mut dyn FnMut(bool) -> bool) -> Vec<u8> {
         let mut media = Vec::with_capacity(self.capacity as usize);
-        for idx in 0..self.cells.len() {
+        for idx in 0..self.shards.len() {
             self.with_shard(idx, |sh| {
                 let start = media.len();
                 media.extend_from_slice(&sh.mc.media);
@@ -381,7 +330,7 @@ impl ShardedPool {
         idx: usize,
         f: impl FnOnce(&mut ArenaMirror) -> R,
     ) -> R {
-        f(&mut self.mirrors[idx].lock())
+        f(&mut self.arenas[idx].mirror.lock())
     }
 
     /// Runs `f` with arena `idx`'s mirror plus the shards overlapping the
@@ -395,60 +344,75 @@ impl ShardedPool {
         stats: &PmemStats,
         f: impl FnOnce(&mut ArenaMirror, &mut dyn RawPmem) -> R,
     ) -> R {
-        let mut mirror = self.mirrors[idx].lock();
-        let (lo, hi) = self.arena_spans[idx];
-        let first = self.shard_index(lo);
-        let last = self.shard_index(hi - 1);
-        let mut guards: Vec<ShardGuardMut<'_>> = Vec::with_capacity(last - first + 1);
-        for cell in self.cells[first..=last].iter() {
-            guards.push(match cell {
-                ShardCell::Locked(m) => ShardGuardMut::Locked(m.lock()),
-                ShardCell::Unsync(c) => {
-                    self.check_owner();
-                    // SAFETY: exclusive ownership established by
-                    // `check_owner`; each cell is visited once, so the
-                    // collected `&mut`s never alias.
-                    ShardGuardMut::Unsync(unsafe { &mut *c.get() })
-                }
-            });
+        let arena = &self.arenas[idx];
+        let (first, last) = (arena.first_shard, arena.last_shard);
+        let mut mirror = arena.mirror.lock();
+        if first == last {
+            let mut shard = self.shards[first].lock();
+            let mut raw = ShardRaw {
+                shard: &mut shard,
+                span: arena.span,
+                bank: stats.bank(first),
+            };
+            return f(&mut mirror, &mut raw);
         }
         let mut raw = ShardedRaw {
-            guards,
+            guards: self.shards[first..=last].iter().map(|m| m.lock()).collect(),
             first_shard: first,
-            span: (lo, hi),
+            span: arena.span,
             shard_bytes: self.shard_bytes,
-            stats,
+            bank: stats.bank(first),
         };
         f(&mut mirror, &mut raw)
     }
 }
 
-enum ShardGuardMut<'a> {
-    Locked(parking_lot::MutexGuard<'a, Shard>),
-    Unsync(&'a mut Shard),
+/// [`RawPmem`] over the one shard holding an arena's whole span (its lock
+/// held): the allocator path of every one-shard pool, and of any arena that
+/// does not cross a shard boundary.
+struct ShardRaw<'a> {
+    shard: &'a mut Shard,
+    /// The owning arena's `[lo, hi)` span — the fence scope.
+    span: (u64, u64),
+    /// The shard's counter bank, which the held lock makes safe to write.
+    bank: &'a ShardCounters,
 }
 
-impl ShardGuardMut<'_> {
-    fn shard(&mut self) -> &mut Shard {
-        match self {
-            ShardGuardMut::Locked(g) => g,
-            ShardGuardMut::Unsync(s) => s,
-        }
+impl RawPmem for ShardRaw<'_> {
+    fn read_raw(&mut self, offset: u64, buf: &mut [u8]) {
+        self.shard.read(offset, buf);
+    }
+
+    fn write_raw(&mut self, offset: u64, data: &[u8], mode: PoolMode) {
+        self.shard.write(offset, data, mode);
+    }
+
+    fn flush_raw(&mut self, offset: u64, len: u64, mode: PoolMode) -> u64 {
+        self.shard.flush(offset, len, mode)
+    }
+
+    fn fence_raw(&mut self) {
+        self.shard.fence_range(self.span.0, self.span.1);
+    }
+
+    fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64) {
+        credit(self.bank, flushes, fences, write_bytes);
     }
 }
 
-/// [`RawPmem`] over the shards covering one arena's span (those locks
-/// held). Offsets stay pool-global; `first_shard` translates them to guard
-/// indices. Hot-path credits go to the first covered shard's bank, which
-/// the held locks make safe to write.
+/// [`RawPmem`] over the shards covering an arena span that crosses a shard
+/// boundary (those locks held). Offsets stay pool-global; `first_shard`
+/// translates them to guard indices. Hot-path credits go to the first
+/// covered shard's bank.
 struct ShardedRaw<'a> {
-    guards: Vec<ShardGuardMut<'a>>,
+    guards: Vec<MutexGuard<'a, Shard>>,
     /// Global index of `guards[0]`.
     first_shard: usize,
     /// The owning arena's `[lo, hi)` span — the fence scope.
     span: (u64, u64),
     shard_bytes: u64,
-    stats: &'a PmemStats,
+    /// The first covered shard's counter bank.
+    bank: &'a ShardCounters,
 }
 
 impl ShardedRaw<'_> {
@@ -458,8 +422,7 @@ impl ShardedRaw<'_> {
         while at < end {
             let idx = (at / self.shard_bytes) as usize;
             let stop = ((idx as u64 + 1) * self.shard_bytes).min(end);
-            let sh = self.guards[idx - self.first_shard].shard();
-            f(sh, at, stop - at);
+            f(&mut self.guards[idx - self.first_shard], at, stop - at);
             at = stop;
         }
     }
@@ -492,11 +455,10 @@ impl RawPmem for ShardedRaw<'_> {
 
     /// Arena-scoped fence: orders pending flushes within the span, shard by
     /// shard (each clipped to its own range). Identical durable effect to
-    /// the global engine's `fence_range` over the same span.
+    /// the one-shard pool's `fence_range` over the same span.
     fn fence_raw(&mut self) {
         let (lo, hi) = self.span;
-        for g in &mut self.guards {
-            let sh = g.shard();
+        for sh in &mut self.guards {
             let clip_lo = lo.max(sh.base);
             let clip_hi = hi.min(sh.end());
             if clip_lo < clip_hi {
@@ -506,11 +468,15 @@ impl RawPmem for ShardedRaw<'_> {
     }
 
     fn credit_hot(&mut self, flushes: u64, fences: u64, write_bytes: u64) {
-        let b = self.stats.bank(self.first_shard);
-        b.add(&b.flushes, flushes);
-        b.add(&b.fences, fences);
-        b.add(&b.write_bytes, write_bytes);
+        credit(self.bank, flushes, fences, write_bytes);
     }
+}
+
+/// Credits an allocator operation's hot-path counters to `bank`.
+fn credit(bank: &ShardCounters, flushes: u64, fences: u64, write_bytes: u64) {
+    bank.add(&bank.flushes, flushes);
+    bank.add(&bank.fences, fences);
+    bank.add(&bank.write_bytes, write_bytes);
 }
 
 #[cfg(test)]
@@ -521,7 +487,7 @@ mod tests {
     fn shard_geometry_is_line_aligned_and_covers_capacity() {
         let media = vec![0u8; 1 << 20];
         let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 4, false, &geom);
+        let s = ShardedPool::new(media, CacheImpl::Dense, 4, &geom);
         assert_eq!(s.shard_count(), 4);
         assert_eq!(s.shard_bytes % CACHE_LINE, 0);
         assert_eq!(s.media_snapshot().len(), 1 << 20);
@@ -533,7 +499,7 @@ mod tests {
         // 2 688 B remainder, and every byte lands where it started.
         let media: Vec<u8> = (0..8320u32).map(|i| (i * 7 % 251) as u8).collect();
         let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media.clone(), CacheImpl::Dense, 3, false, &geom);
+        let s = ShardedPool::new(media.clone(), CacheImpl::Dense, 3, &geom);
         assert_eq!(s.shard_bytes, 2816);
         let spans: Vec<(u64, usize)> = (0..s.shard_count())
             .map(|i| s.with_shard(i, |sh| (sh.base, sh.mc.media.len())))
@@ -547,7 +513,7 @@ mod tests {
         // 8 KiB across 4096 requested shards: at least one line per shard.
         let media = vec![0u8; 8192];
         let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 4096, false, &geom);
+        let s = ShardedPool::new(media, CacheImpl::Dense, 4096, &geom);
         assert_eq!(s.shard_count(), 8192 / CACHE_LINE as usize);
         assert_eq!(s.shard_bytes, CACHE_LINE);
     }
@@ -556,7 +522,7 @@ mod tests {
     fn cross_shard_write_and_read_round_trip() {
         let media = vec![0u8; 8192];
         let geom = HeapGeometry::single(media.len() as u64);
-        let s = ShardedPool::new(media, CacheImpl::Dense, 2, false, &geom);
+        let s = ShardedPool::new(media, CacheImpl::Dense, 2, &geom);
         let stats = PmemStats::with_banks(s.shard_count());
         let boundary = s.shard_bytes - 32;
         let data: Vec<u8> = (0..64u8).collect();
@@ -580,7 +546,7 @@ mod tests {
         let geom = crate::pool::HeapGeometry::plan(capacity, 4);
         assert!(geom.arenas().len() > 1, "1 MiB plans side arenas");
         let media = vec![0u8; capacity as usize];
-        let s = ShardedPool::new(media, CacheImpl::Dense, 8, false, &geom);
+        let s = ShardedPool::new(media, CacheImpl::Dense, 8, &geom);
         let stats = PmemStats::with_banks(s.shard_count());
         let last = geom.arenas().len() - 1;
         let (lo, hi) = geom.arenas()[last].span();

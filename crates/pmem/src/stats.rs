@@ -10,16 +10,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One shard's bank of hot-path counters.
 ///
-/// Sharded pools route the six per-operation counters (stores, loads,
-/// flushes, fences and their byte counts) here instead of the shared
-/// [`PmemStats`] atomics, so the store path never touches a contended cache
-/// line. The bank's writer is whoever holds the owning shard's lock (or the
-/// claimed thread of a `SingleThread` pool), which is why the increments can
-/// be plain load+store pairs instead of atomic read-modify-writes: there is
-/// exactly one writer at a time, and concurrent
-/// [`snapshot`](PmemStats::snapshot) readers only ever see a slightly stale
-/// value, never a torn one. Padded to two cache lines so neighbouring
-/// shards' banks never false-share.
+/// Pools route the six per-operation counters (stores, loads, flushes,
+/// fences and their byte counts) here instead of the shared [`PmemStats`]
+/// atomics, so the store path never touches a contended cache line. The
+/// bank's writer is whoever holds the owning shard's lock, which is why the
+/// increments can be plain load+store pairs instead of atomic
+/// read-modify-writes: there is exactly one writer at a time, and
+/// concurrent [`snapshot`](PmemStats::snapshot) readers only ever see a
+/// slightly stale value, never a torn one. Padded to two cache lines so
+/// neighbouring shards' banks never false-share.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct ShardCounters {
@@ -40,8 +39,8 @@ pub struct ShardCounters {
 
 impl ShardCounters {
     /// Adds `by` with a plain load+store (no RMW). Callers must hold the
-    /// owning shard's lock (or be the claimed single thread) — see the type
-    /// docs for why that makes this exact.
+    /// owning shard's lock — see the type docs for why that makes this
+    /// exact.
     #[inline]
     pub(crate) fn add(&self, counter: &AtomicU64, by: u64) {
         counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
@@ -67,11 +66,9 @@ impl ShardCounters {
 /// `log_bytes`, `vlog_entries`, `vlog_bytes`) are bumped by the runtime crate
 /// rather than the pool itself.
 ///
-/// Sharded pools additionally carry one [`ShardCounters`] bank per shard;
+/// A pool's stats additionally carry one [`ShardCounters`] bank per shard;
 /// [`snapshot`](Self::snapshot) folds the banks into the shared atomics so a
-/// snapshot means the same thing under every [`PoolConcurrency`] mode.
-///
-/// [`PoolConcurrency`]: crate::PoolConcurrency
+/// snapshot means the same thing at every shard count.
 #[derive(Debug, Default)]
 pub struct PmemStats {
     /// Cache-line flushes issued (`clwb`-equivalents).
@@ -205,15 +202,15 @@ pub struct PmemStats {
     /// `GET`s served off the volatile cache without entering a transaction,
     /// bumped by the service layer.
     pub net_snapshot_reads: AtomicU64,
-    /// Per-shard hot-counter banks. Empty for single-lock pools; sharded
-    /// pools route all hot-path counts here and leave the shared hot
-    /// atomics above at zero, so [`snapshot`](Self::snapshot) can always
-    /// report `shared + Σ banks`.
+    /// Per-shard hot-counter banks, one per pool shard (none for
+    /// free-standing [`new`](Self::new) stats). Pools route all hot-path
+    /// counts here and leave the shared hot atomics above at zero, so
+    /// [`snapshot`](Self::snapshot) can always report `shared + Σ banks`.
     banks: Vec<ShardCounters>,
 }
 
 impl PmemStats {
-    /// Creates zeroed counters with no per-shard banks (single-lock pools).
+    /// Creates zeroed counters with no per-shard banks.
     pub fn new() -> Self {
         Self::default()
     }
@@ -230,21 +227,21 @@ impl PmemStats {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range (single-lock pools have no banks).
+    /// Panics if `idx` is not a shard of the owning pool.
     pub(crate) fn bank(&self, idx: usize) -> &ShardCounters {
         &self.banks[idx]
     }
 
     /// Point-in-time copies of each shard's hot counters, in shard order.
-    /// Empty for single-lock pools. Summing these equals the hot fields of
-    /// [`snapshot`](Self::snapshot) for a sharded pool.
+    /// Summing these equals the hot fields of a pool's
+    /// [`snapshot`](Self::snapshot).
     pub fn shard_snapshots(&self) -> Vec<StatsSnapshot> {
         self.banks.iter().map(ShardCounters::snapshot_hot).collect()
     }
 
     /// Captures a point-in-time copy of all counters. Hot fields fold the
     /// per-shard banks into the shared atomics, so the snapshot means the
-    /// same thing under every concurrency mode.
+    /// same thing at every shard count.
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut hot = StatsSnapshot::default();
         for bank in &self.banks {

@@ -4,7 +4,7 @@
 //! A fresh pool's media is a zeroed allocation, so the OS commits its pages
 //! only as they are written. The simulated cache's shadow must keep that
 //! property: a store followed by a persist at a few spread addresses may
-//! commit a few pages, never a capacity-sized buffer. The sharded engine
+//! commit a few pages, never a capacity-sized buffer. A multi-shard pool
 //! copies each media byte at most once while carving its shards, so it may
 //! grow by at most one capacity.
 //!
@@ -12,7 +12,7 @@
 //! test so that its process measures nothing else.
 #![cfg(target_os = "linux")]
 
-use clobber_pmem::{PAddr, PmemPool, PoolConcurrency, PoolOptions};
+use clobber_pmem::{PAddr, PmemPool, PoolOptions};
 
 const CAPACITY: u64 = 128 << 20;
 const MIB: u64 = 1 << 20;
@@ -35,9 +35,9 @@ fn rss_bytes() -> u64 {
 
 /// RSS growth across `create` plus a store and persist at three addresses
 /// spread over the pool.
-fn growth(concurrency: PoolConcurrency) -> u64 {
+fn growth(shards: u32) -> u64 {
     let before = rss_bytes();
-    let pool = PmemPool::create(PoolOptions::crash_sim(CAPACITY).with_concurrency(concurrency))
+    let pool = PmemPool::create(PoolOptions::crash_sim(CAPACITY).with_shards(shards))
         .expect("create pool");
     for quarter in 1..=3 {
         let addr = PAddr::new(CAPACITY / 4 * quarter);
@@ -52,18 +52,15 @@ fn growth(concurrency: PoolConcurrency) -> u64 {
 
 #[test]
 fn crash_sim_rss_follows_touched_lines_not_capacity() {
-    // `Sharded` runs last: freeing its shard-sized pieces can move the
-    // allocator's mmap threshold, which would blur the other measurements.
-    let cases = [
-        (PoolConcurrency::GlobalLock, SLACK),
-        (PoolConcurrency::SingleThread, SLACK),
-        (PoolConcurrency::Sharded { shards: 8 }, CAPACITY + SLACK),
-    ];
-    for (concurrency, bound) in cases {
-        let grew = growth(concurrency);
+    // The 8-shard pool runs last: freeing its shard-sized pieces can move
+    // the allocator's mmap threshold, which would blur the other
+    // measurement.
+    let cases = [(1, SLACK), (8, CAPACITY + SLACK)];
+    for (shards, bound) in cases {
+        let grew = growth(shards);
         assert!(
             grew <= bound,
-            "{concurrency:?}: RSS grew {} MiB, bound {} MiB",
+            "{shards} shards: RSS grew {} MiB, bound {} MiB",
             grew / MIB,
             bound / MIB
         );

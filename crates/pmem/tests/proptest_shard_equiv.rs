@@ -1,38 +1,32 @@
-//! Lock-step equivalence of the sharded pool engines against the retained
-//! single-lock reference engine.
+//! Lock-step equivalence of multi-shard pools against the one-shard
+//! reference pool.
 //!
-//! PR 3's tentpole replaced the global pool mutex with address-range shards
-//! (plus an opt-in lock-free `SingleThread` mode). The contract is that the
-//! change is *unobservable* through the pool API: random schedules of
+//! The pool's state is partitioned into address-range shards; the
+//! one-shard pool — one media cache under one lock — is the reference.
+//! The contract is that the shard count is *unobservable* through the pool
+//! API: random schedules of
 //! store/flush/fence/crash operations — including armed [`FaultPlan`]s that
 //! kill the pool mid-schedule and torn trip-point stores — must produce
 //! identical volatile reads, identical per-step error results, identical
 //! persist-event numbering and fault-trip points, bit-identical stats
 //! counters, and identical durable media after a seeded crash, at every
-//! shard count and in `SingleThread` mode.
+//! shard count.
 //!
 //! PR 4 extends the schedules with the full allocator surface —
 //! `alloc`/`free`/`reserve`/`publish`/`cancel` — so the sharded-arena
 //! allocator is held to the same standard: identical addresses, identical
 //! error results (`OutOfMemory`, `InvalidFree`, `InjectedCrash`), identical
 //! `heap_used`, identical `check_heap` reports, and bit-identical durable
-//! allocator metadata after a seeded crash, across every engine.
+//! allocator metadata after a seeded crash, at every shard count.
 
-use clobber_pmem::{
-    CrashConfig, FaultPlan, PAddr, PmemError, PmemPool, PoolConcurrency, PoolOptions,
-};
+use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemError, PmemPool, PoolOptions};
 use proptest::prelude::*;
 
 const POOL_SIZE: u64 = 1 << 20;
 const BLOCK: u64 = 16 << 10;
 
-/// The candidate engines checked against the `GlobalLock` reference.
-const CANDIDATES: &[PoolConcurrency] = &[
-    PoolConcurrency::Sharded { shards: 2 },
-    PoolConcurrency::Sharded { shards: 4 },
-    PoolConcurrency::Sharded { shards: 16 },
-    PoolConcurrency::SingleThread,
-];
+/// The candidate shard counts checked against the one-shard reference.
+const CANDIDATES: &[u32] = &[2, 4, 16];
 
 /// One step of the driver script. Offsets/lengths are pre-clipped to the
 /// allocated block so pool metadata stays intact and a crashed pool can
@@ -87,13 +81,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// The observable outcome of one op: `Ok` carries the returned address for
 /// allocator ops (0 when the op returns no address), so address equality
-/// across engines is part of the per-step comparison.
+/// across shard counts is part of the per-step comparison.
 type Outcome = Result<u64, PmemError>;
 
-/// Script-level allocator bookkeeping, driven by the *reference* engine's
+/// Script-level allocator bookkeeping, driven by the *reference* pool's
 /// results and shared by every candidate. Tracking may go stale after a
 /// crash (rolled-back reservations, dropped publishes) — that is deliberate:
-/// stale addresses exercise the `InvalidFree` paths, and every engine must
+/// stale addresses exercise the `InvalidFree` paths, and every pool must
 /// produce the same error for the same stale address.
 #[derive(Default)]
 struct Tracked {
@@ -114,7 +108,7 @@ impl Tracked {
 
 /// Applies one op, returning the (possibly reopened) pool and the op's
 /// observable result. Every branch of this function must be a pure function
-/// of the pool API — no peeking at engine internals — so a divergence here
+/// of the pool API — no peeking at shard internals — so a divergence here
 /// is a real contract violation.
 fn apply(pool: PmemPool, base: PAddr, tracked: &Tracked, op: &Op) -> (PmemPool, Outcome) {
     match *op {
@@ -210,9 +204,8 @@ fn track(tracked: &mut Tracked, op: &Op, outcome: &Outcome) {
     }
 }
 
-fn create(concurrency: PoolConcurrency) -> (PmemPool, PAddr) {
-    let pool =
-        PmemPool::create(PoolOptions::crash_sim(POOL_SIZE).with_concurrency(concurrency)).unwrap();
+fn create(shards: u32) -> (PmemPool, PAddr) {
+    let pool = PmemPool::create(PoolOptions::crash_sim(POOL_SIZE).with_shards(shards)).unwrap();
     let base = pool.alloc(BLOCK).unwrap();
     (pool, base)
 }
@@ -220,17 +213,17 @@ fn create(concurrency: PoolConcurrency) -> (PmemPool, PAddr) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The headline lock-step test: one schedule, five engines, every
+    /// The headline lock-step test: one schedule, four shard counts, every
     /// observable compared after every step.
     #[test]
-    fn sharded_engines_match_global_lock_reference(
+    fn shard_counts_match_one_shard_reference(
         (ops, final_seed) in (proptest::collection::vec(op_strategy(), 1..60), 0u64..u64::MAX)
     ) {
-        let (mut reference, base_r) = create(PoolConcurrency::GlobalLock);
-        let mut candidates: Vec<(PoolConcurrency, Option<PmemPool>, PAddr)> = Vec::new();
+        let (mut reference, base_r) = create(1);
+        let mut candidates: Vec<(u32, Option<PmemPool>, PAddr)> = Vec::new();
         for &c in CANDIDATES {
             let (p, b) = create(c);
-            prop_assert_eq!(b, base_r, "deterministic allocator diverged for {:?}", c);
+            prop_assert_eq!(b, base_r, "deterministic allocator diverged for {} shards", c);
             candidates.push((c, Some(p), b));
         }
         let mut tracked = Tracked::default();
@@ -248,34 +241,34 @@ proptest! {
                 let pool = slot.insert(p);
                 prop_assert_eq!(
                     &res_c, &res_r,
-                    "op result diverged for {:?} after {:?}", c, op
+                    "op result diverged for {} shards after {:?}", c, op
                 );
                 // Persist-event numbering and trip points are the ordering
                 // contract: the global fault mutex must observe the same
                 // total order regardless of how the address space is split.
-                prop_assert_eq!(pool.fault_events(), ev_r, "event count diverged for {:?}", c);
-                prop_assert_eq!(pool.fault_tripped(), trip_r, "trip point diverged for {:?}", c);
+                prop_assert_eq!(pool.fault_events(), ev_r, "event count diverged for {} shards", c);
+                prop_assert_eq!(pool.fault_tripped(), trip_r, "trip point diverged for {} shards", c);
                 // The allocator frontier is part of the deterministic state.
-                prop_assert_eq!(pool.heap_used(), used_r, "heap_used diverged for {:?}", c);
+                prop_assert_eq!(pool.heap_used(), used_r, "heap_used diverged for {} shards", c);
                 // Volatile view (media + cache overlay, or InjectedCrash on
                 // a dead pool) must agree after every step.
                 let vol_c = pool.read_bytes(*base, BLOCK);
-                prop_assert_eq!(&vol_c, &vol_r, "volatile reads diverged for {:?} after {:?}", c, op);
+                prop_assert_eq!(&vol_c, &vol_r, "volatile reads diverged for {} shards after {:?}", c, op);
             }
             track(&mut tracked, op, &res_r);
         }
 
-        // Counters are part of the contract. The sharded engines route hot
-        // counts through per-shard banks; `snapshot()` must fold them back
-        // into totals bit-identical to the single-lock engine's.
+        // Counters are part of the contract. Pools route hot counts through
+        // per-shard banks; `snapshot()` must fold them back into totals
+        // bit-identical to the one-shard pool's.
         let snap_r = reference.stats().snapshot();
         for (c, slot, _) in &candidates {
             let pool = slot.as_ref().unwrap();
-            prop_assert_eq!(pool.stats().snapshot(), snap_r.clone(), "counters diverged for {:?}", c);
+            prop_assert_eq!(pool.stats().snapshot(), snap_r.clone(), "counters diverged for {} shards", c);
         }
 
         // The same crash seed must draw the same per-line survival decisions
-        // in every engine (ascending-shard × ascending-line = global
+        // at every shard count (ascending-shard × ascending-line = global
         // ascending line order) and therefore produce identical durable
         // media — even when the schedule left the pool dead (tripped).
         let crashed_r = reference.crash(&CrashConfig::with_seed(final_seed)).unwrap();
@@ -283,19 +276,20 @@ proptest! {
         // The recovered heap structure is part of the durable contract.
         let heap_r = crashed_r.check_heap();
         for (c, slot, base) in candidates {
-            let crashed = slot.unwrap().crash(&CrashConfig::with_seed(final_seed)).unwrap();
+            let pool = slot.unwrap();
+            let crashed = pool.crash(&CrashConfig::with_seed(final_seed)).unwrap();
             prop_assert_eq!(
-                crashed.concurrency(), c,
-                "crash() must preserve the concurrency mode"
+                crashed.shard_count(), pool.shard_count(),
+                "crash() must preserve the shard count"
             );
             let durable = crashed.read_bytes(base, BLOCK).unwrap();
-            prop_assert_eq!(&durable, &durable_r, "durable media diverged for {:?}", c);
+            prop_assert_eq!(&durable, &durable_r, "durable media diverged for {} shards", c);
             prop_assert_eq!(
                 crashed.check_heap().is_ok(), heap_r.is_ok(),
-                "check_heap verdict diverged for {:?}", c
+                "check_heap verdict diverged for {} shards", c
             );
             if let (Ok(hc), Ok(hr)) = (crashed.check_heap(), heap_r.clone()) {
-                prop_assert_eq!(hc, hr, "heap report diverged for {:?}", c);
+                prop_assert_eq!(hc, hr, "heap report diverged for {} shards", c);
             }
         }
     }
