@@ -9,11 +9,10 @@
 //! workloads, and reader-writer lock provides better scalability for
 //! search-intensive workloads").
 
-use clobber_nvm::{Runtime, TxError};
-use clobber_sim::{LockRequest, SimOp};
+use clobber_nvm::{LockRequest, Runtime, TxError};
+use clobber_sim::SimOp;
 use clobber_workloads::{Mix, Request, RequestStream};
 
-use clobber_pds::hashmap;
 use clobber_pds::hashmap::HashMap;
 
 /// Lock scheme for the request path (paper §5.6's scalability fix).
@@ -37,27 +36,6 @@ impl LockScheme {
             LockScheme::BucketRw => "rwlock",
         }
     }
-}
-
-/// Typed result of a request handled through the locked path — the wire
-/// shape a service front-end can serialize directly. Lock refusal is a
-/// *response*, not an error: under wait-die the conflict is raised before
-/// the transaction body runs, so the client (or the service's batcher) can
-/// simply resubmit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvOutcome {
-    /// The `set` committed.
-    Stored,
-    /// The `get` found this value.
-    Value(Vec<u8>),
-    /// The `get` found nothing.
-    NotFound,
-    /// Wait-die refused the lock set; retrying is always safe — nothing
-    /// was logged and no state changed.
-    Retry {
-        /// The contended lock id.
-        lock: u64,
-    },
 }
 
 /// The persistent KV server.
@@ -138,87 +116,29 @@ impl KvServer {
         }
     }
 
-    /// The runtime [`LockManager`] lock set for `req` under the configured
-    /// scheme — same lock ids as [`locks_for`](KvServer::locks_for), but as
-    /// the core lock type real OS threads (and the service front-end)
-    /// acquire.
-    ///
-    /// [`LockManager`]: clobber_nvm::LockManager
-    pub fn core_locks_for(&self, req: &Request) -> Vec<clobber_nvm::LockRequest> {
-        self.locks_for(req)
-            .into_iter()
-            .map(|l| match l.mode {
-                clobber_sim::LockMode::Exclusive => clobber_nvm::LockRequest::exclusive(l.lock),
-                clobber_sim::LockMode::Shared => clobber_nvm::LockRequest::shared(l.lock),
-            })
-            .collect()
-    }
-
-    /// Handles one request on an explicit slot through the wait-die locked
-    /// path, surfacing [`TxError::LockConflict`] as a typed
-    /// [`KvOutcome::Retry`] response instead of an error. Every other
-    /// substrate failure still propagates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TxError`] on substrate failure other than lock refusal.
-    pub fn try_handle_on(
-        &self,
-        rt: &Runtime,
-        slot: usize,
-        req: &Request,
-    ) -> Result<KvOutcome, TxError> {
-        let locks = self.core_locks_for(req);
-        let root = self.table.root().offset();
-        let result = match req {
-            Request::Set { key, value } => rt.try_run_on_locked(
-                slot,
-                &locks,
-                hashmap::TX_INSERT,
-                &clobber_nvm::ArgList::new()
-                    .with_u64(root)
-                    .with_u64(key_id(key))
-                    .with_bytes(value),
-            ),
-            Request::Get { key } => rt.try_run_on_locked(
-                slot,
-                &locks,
-                hashmap::TX_GET,
-                &clobber_nvm::ArgList::new()
-                    .with_u64(root)
-                    .with_u64(key_id(key)),
-            ),
-        };
-        match (req, result) {
-            (_, Err(TxError::LockConflict { lock })) => Ok(KvOutcome::Retry { lock }),
-            (_, Err(e)) => Err(e),
-            (Request::Set { .. }, Ok(_)) => Ok(KvOutcome::Stored),
-            (Request::Get { .. }, Ok(Some(v))) => Ok(KvOutcome::Value(v)),
-            (Request::Get { .. }, Ok(None)) => Ok(KvOutcome::NotFound),
-        }
-    }
-
-    /// The simulated-lock set for `req` under the configured scheme.
+    /// The lock set for `req` under the configured scheme, built from the
+    /// table's own locks.
     pub fn locks_for(&self, req: &Request) -> Vec<LockRequest> {
-        let bucket_lock = self.table.lock_of(key_id(req.key()));
-        let global = self.table.root().offset().wrapping_mul(97);
-        match (self.scheme, req) {
-            (LockScheme::GlobalExclusive, _) => vec![LockRequest::exclusive(global)],
-            (LockScheme::BucketSpin, _) => vec![LockRequest::exclusive(bucket_lock)],
-            (LockScheme::BucketRw, Request::Set { .. }) => {
-                vec![LockRequest::exclusive(bucket_lock)]
-            }
-            (LockScheme::BucketRw, Request::Get { .. }) => {
-                vec![LockRequest::shared(bucket_lock)]
-            }
-        }
+        let key = key_id(req.key());
+        let is_set = matches!(req, Request::Set { .. });
+        vec![match self.scheme {
+            LockScheme::GlobalExclusive => self.table.table_lock(),
+            LockScheme::BucketSpin => self.table.lock_for(key, true),
+            LockScheme::BucketRw => self.table.lock_for(key, is_set),
+        }]
     }
 }
 
-/// Collapses a 16-byte memslap key to the table's `u64` key id (the
-/// generator embeds the id in the first 8 bytes).
-fn key_id(key: &[u8]) -> u64 {
-    u64::from_le_bytes(key[..8].try_into().expect("memslap keys are 16 bytes"))
+/// Collapses a key's bytes to the table's `u64` key id (the workload
+/// generator embeds the id in the first 8 bytes; shorter keys are
+/// zero-extended so arbitrary client keys stay valid). Inlined across
+/// crates: the service's batch path calls it once per request.
+#[inline]
+pub fn key_id(key: &[u8]) -> u64 {
+    let mut id = [0u8; 8];
+    let n = key.len().min(8);
+    id[..n].copy_from_slice(&key[..n]);
+    u64::from_le_bytes(id)
 }
 
 /// Builds a [`clobber_sim::OpSource`] over per-thread memslap request
@@ -278,6 +198,7 @@ impl clobber_sim::OpSource for KvOpSource {
 mod tests {
     use super::*;
     use clobber_nvm::{Backend, RuntimeOptions};
+    use clobber_pds::hashmap;
     use clobber_pmem::{PmemPool, PoolOptions};
     use std::sync::Arc;
 
@@ -303,6 +224,26 @@ mod tests {
         .unwrap();
         let got = srv.handle(&rt, &Request::Get { key }).unwrap();
         assert_eq!(got, Some(value));
+    }
+
+    /// Keys shorter than the 8-byte id are zero-extended, not sliced past
+    /// their end.
+    #[test]
+    fn short_keys_round_trip() {
+        let (_p, rt, srv) = setup(Backend::clobber());
+        let key = b"abc".to_vec();
+        srv.handle(
+            &rt,
+            &Request::Set {
+                key: key.clone(),
+                value: b"short".to_vec(),
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            srv.handle(&rt, &Request::Get { key }).unwrap(),
+            Some(b"short".to_vec())
+        );
     }
 
     #[test]
@@ -347,75 +288,58 @@ mod tests {
         let get = Request::Get {
             key: RequestStream::key_bytes(2),
         };
+        // Exact ids, derived from the table root: a bucket lock is
+        // `root * 31 + bucket`, the table-wide lock `root * 97`.
+        let root = rt.app_root().unwrap().offset();
+        let bucket_lock = |key: u64| root.wrapping_mul(31) + bucket(key);
+        let table_lock = root.wrapping_mul(97);
+        assert_ne!(bucket_lock(1), bucket_lock(2), "keys 1 and 2 hash apart");
+
         let global = KvServer::open(&rt, LockScheme::GlobalExclusive).unwrap();
-        assert_eq!(global.locks_for(&set), global.locks_for(&get));
+        assert_eq!(
+            global.locks_for(&set),
+            vec![LockRequest::exclusive(table_lock)]
+        );
+        assert_eq!(
+            global.locks_for(&get),
+            vec![LockRequest::exclusive(table_lock)]
+        );
         let rw = KvServer::open(&rt, LockScheme::BucketRw).unwrap();
-        assert_eq!(rw.locks_for(&get)[0].mode, clobber_sim::LockMode::Shared);
-        assert_eq!(rw.locks_for(&set)[0].mode, clobber_sim::LockMode::Exclusive);
+        assert_eq!(
+            rw.locks_for(&set),
+            vec![LockRequest::exclusive(bucket_lock(1))]
+        );
+        assert_eq!(
+            rw.locks_for(&get),
+            vec![LockRequest::shared(bucket_lock(2))]
+        );
         let spin = KvServer::open(&rt, LockScheme::BucketSpin).unwrap();
         assert_eq!(
-            spin.locks_for(&get)[0].mode,
-            clobber_sim::LockMode::Exclusive
+            spin.locks_for(&set),
+            vec![LockRequest::exclusive(bucket_lock(1))]
         );
+        assert_eq!(
+            spin.locks_for(&get),
+            vec![LockRequest::exclusive(bucket_lock(2))]
+        );
+        // The same key maps to the same bucket lock for sets and gets.
+        let get1 = Request::Get {
+            key: RequestStream::key_bytes(1),
+        };
+        assert_eq!(
+            rw.locks_for(&get1),
+            vec![LockRequest::shared(bucket_lock(1))]
+        );
+    }
+
+    /// The hash map's bucket function, restated so the test pins ids
+    /// independently of the code under test.
+    fn bucket(key: u64) -> u64 {
+        key.wrapping_mul(0xFF51_AFD7_ED55_8CCD) % hashmap::BUCKETS
     }
 
     #[test]
     fn bucket_count_matches_the_paper() {
         assert_eq!(hashmap::BUCKETS, 256);
-    }
-
-    #[test]
-    fn wait_die_refusal_surfaces_as_typed_retry_under_bucket_rw() {
-        let (_p, rt, srv) = setup(Backend::clobber());
-        let set = Request::Set {
-            key: RequestStream::key_bytes(5),
-            value: RequestStream::value_bytes(5),
-        };
-        let get = Request::Get {
-            key: RequestStream::key_bytes(5),
-        };
-        let bucket = srv.table().lock_of(5);
-
-        // A rival holds the bucket exclusively: both set and get die with a
-        // typed Retry naming the contended lock, not a panic or an Err.
-        {
-            let _rival = rt
-                .locks()
-                .acquire(rt.pool(), &[clobber_nvm::LockRequest::exclusive(bucket)]);
-            assert_eq!(
-                srv.try_handle_on(&rt, 0, &set).unwrap(),
-                KvOutcome::Retry { lock: bucket }
-            );
-            assert_eq!(
-                srv.try_handle_on(&rt, 0, &get).unwrap(),
-                KvOutcome::Retry { lock: bucket }
-            );
-        }
-
-        // Guard dropped: the retry succeeds — nothing was logged by the
-        // refused attempts, so state is exactly one committed set.
-        assert_eq!(srv.try_handle_on(&rt, 0, &set).unwrap(), KvOutcome::Stored);
-        assert_eq!(
-            srv.try_handle_on(&rt, 0, &get).unwrap(),
-            KvOutcome::Value(RequestStream::value_bytes(5))
-        );
-        assert_eq!(srv.table().len(rt.pool()).unwrap(), 1);
-
-        // BucketRw shared mode: a rival *reader* lets gets through but
-        // refuses sets.
-        {
-            let _reader = rt
-                .locks()
-                .acquire(rt.pool(), &[clobber_nvm::LockRequest::shared(bucket)]);
-            assert_eq!(
-                srv.try_handle_on(&rt, 0, &get).unwrap(),
-                KvOutcome::Value(RequestStream::value_bytes(5))
-            );
-            assert_eq!(
-                srv.try_handle_on(&rt, 0, &set).unwrap(),
-                KvOutcome::Retry { lock: bucket }
-            );
-        }
-        assert!(rt.locks().is_idle());
     }
 }

@@ -15,6 +15,6 @@ pub mod kvserver;
 pub mod vacation;
 pub mod yada;
 
-pub use kvserver::{KvServer, LockScheme};
+pub use kvserver::{key_id, KvServer, LockScheme};
 pub use vacation::{TreeKind, Vacation};
 pub use yada::{RefineStats, StepOutcome, Yada};

@@ -10,9 +10,8 @@
 //! Record value: `[quantity][free][price]` (24 bytes). Customer value: a
 //! count followed by `(kind, item, price)` triples.
 
-use clobber_nvm::{ArgList, ArgValue, Runtime, Tx, TxError};
+use clobber_nvm::{ArgList, ArgValue, LockRequest, Runtime, Tx, TxError};
 use clobber_pmem::{PAddr, PmemPool};
-use clobber_sim::LockRequest;
 use clobber_workloads::vacation::{Action, ResKind};
 
 use clobber_pds::{avltree, rbtree, AvlTree, RbTree};
@@ -321,10 +320,11 @@ impl Vacation {
                     args.push(ArgValue::U64(kind.index() as u64));
                     args.push(ArgValue::U64(*item));
                 }
-                rt.run_on(slot, TX_RESERVE, &args)?
+                rt.run_on(slot, &[], TX_RESERVE, &args)?
             }
             Action::CancelReservation { customer } => rt.run_on(
                 slot,
+                &[],
                 TX_CANCEL,
                 &ArgList::new()
                     .with_u64(self.root.offset())
@@ -337,6 +337,7 @@ impl Vacation {
                 price,
             } => rt.run_on(
                 slot,
+                &[],
                 TX_ADD_ITEM,
                 &ArgList::new()
                     .with_u64(self.root.offset())
@@ -351,6 +352,7 @@ impl Vacation {
                 quantity,
             } => rt.run_on(
                 slot,
+                &[],
                 TX_DEL_ITEM,
                 &ArgList::new()
                     .with_u64(self.root.offset())

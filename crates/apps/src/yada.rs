@@ -279,6 +279,7 @@ impl Yada {
     pub fn refine_step(&self, rt: &Runtime, slot: usize) -> Result<StepOutcome, TxError> {
         let out = rt.run_on(
             slot,
+            &[],
             TX_REFINE,
             &ArgList::new().with_u64(self.root.offset()),
         )?;

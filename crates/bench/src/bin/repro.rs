@@ -139,8 +139,9 @@ fn run_one(fig: &str, scale: Scale, out: &std::path::Path, zipf: f64, seed: u64)
                 );
             }
             // Real multi-thread Clobber series: racing OS threads through
-            // the lock manager, costed by the DES model (EXPERIMENTS.md
-            // explains the 1-CPU caveat).
+            // the lock manager, costed by the DES model, the modeled
+            // scaling oracle (a 2-CPU host cannot show scaling to 8
+            // threads by wall clock; see EXPERIMENTS.md).
             let mt = fig6::run_multithread(scale);
             emit(
                 out,

@@ -9,10 +9,10 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 
-use clobber_nvm::{Backend, Runtime, RuntimeOptions};
+use clobber_nvm::{Backend, LockRequest, Runtime, RuntimeOptions};
 use clobber_pds::{value::key32, BpTree, HashMap, RbTree, SkipList};
 use clobber_pmem::{PmemPool, PoolOptions, StatsSnapshot, Trace, Tracer};
-use clobber_sim::{CostModel, LockRequest, OpSource, SimOp};
+use clobber_sim::{CostModel, OpSource, SimOp};
 use clobber_workloads::{KvOp, Workload, WorkloadKind};
 
 /// Modelled bytes of metadata a PMDK-style undo log persists per entry on
@@ -240,59 +240,24 @@ impl DsHandle {
         }
     }
 
-    /// The simulated-lock set for `op`, reflecting each structure's locking
+    /// The simulated-lock set for `op`: each structure's own locking
     /// scheme (paper §5.2). Under the redo backend (Mnemosyne), code is
     /// parallelized by its transactional-memory model rather than the
     /// structure locks, so conflicts happen at key granularity.
     pub fn locks_for(&self, pool: &PmemPool, backend: Backend, op: &KvOp) -> Vec<LockRequest> {
         if backend == Backend::Redo {
-            // Optimistic TM: conflicts only on the same key (plus a
-            // structure-level shared lock to model commit-time arbitration).
+            // Optimistic TM: conflicts only on the same key.
             let key_lock = 0x7000_0000_0000_0000u64 ^ op.key().wrapping_mul(11);
             return vec![LockRequest::exclusive(key_lock)];
         }
+        let write = op.is_write();
         match self {
-            DsHandle::H(h) => {
-                let l = h.lock_of(op.key());
-                if op.is_write() {
-                    vec![LockRequest::exclusive(l)]
-                } else {
-                    vec![LockRequest::shared(l)]
-                }
-            }
-            DsHandle::S(s) => vec![if op.is_write() {
-                LockRequest::exclusive(s.lock())
-            } else {
-                LockRequest::shared(s.lock())
-            }],
-            DsHandle::R(t) => vec![if op.is_write() {
-                LockRequest::exclusive(t.lock())
-            } else {
-                LockRequest::shared(t.lock())
-            }],
-            DsHandle::B(t) => {
-                let (leaf, full, parent) = t
-                    .locate_leaf_path(pool, &key32(op.key()))
-                    .expect("locate leaf");
-                if op.is_write() {
-                    if full {
-                        // Hand-over-hand split: leaf plus its parent (the
-                        // tree lock only when splitting the root itself).
-                        let upper = match parent {
-                            Some(p) => t.leaf_lock(p),
-                            None => t.smo_lock(),
-                        };
-                        vec![
-                            LockRequest::exclusive(t.leaf_lock(leaf)),
-                            LockRequest::exclusive(upper),
-                        ]
-                    } else {
-                        vec![LockRequest::exclusive(t.leaf_lock(leaf))]
-                    }
-                } else {
-                    vec![LockRequest::shared(t.leaf_lock(leaf))]
-                }
-            }
+            DsHandle::H(h) => vec![h.lock_for(op.key(), write)],
+            DsHandle::S(s) => vec![s.lock_for(write)],
+            DsHandle::R(t) => vec![t.lock_for(write)],
+            DsHandle::B(t) => t
+                .locks_for(pool, &key32(op.key()), write)
+                .expect("locate leaf"),
         }
     }
 }
@@ -489,6 +454,119 @@ mod tests {
         assert!(
             t8 > t1 * 3.0,
             "256 buckets should let 8 threads overlap: {t1} vs {t8}"
+        );
+    }
+
+    /// Exact lock sets for every structure, write and read, under the
+    /// structure locks and under the redo backend's key-granular model.
+    #[test]
+    fn locks_for_pins_every_structure() {
+        let clobber = Backend::clobber();
+        let write = |key| KvOp::Insert {
+            key,
+            value: vec![0; 8],
+        };
+        let read = |key| KvOp::Read { key };
+        for kind in DsKind::all() {
+            let (pool, rt) = make_runtime(clobber, Scale::Quick);
+            let handle = DsHandle::create(kind, &rt);
+            let (w, r) = match handle {
+                DsHandle::H(h) => {
+                    let lock = h.root().offset().wrapping_mul(31)
+                        + 5u64.wrapping_mul(0xFF51_AFD7_ED55_8CCD) % 256;
+                    (LockRequest::exclusive(lock), LockRequest::shared(lock))
+                }
+                DsHandle::S(s) => {
+                    let lock = s.root().offset().wrapping_mul(31);
+                    (LockRequest::exclusive(lock), LockRequest::shared(lock))
+                }
+                DsHandle::R(t) => {
+                    let lock = t.root().offset().wrapping_mul(31);
+                    (LockRequest::exclusive(lock), LockRequest::shared(lock))
+                }
+                DsHandle::B(t) => {
+                    let (leaf, full, parent) = t.locate_leaf_path(&pool, &key32(5)).unwrap();
+                    assert!(!full && parent.is_none(), "empty tree: one root leaf");
+                    let lock = t.root().offset().wrapping_mul(31) ^ leaf.offset();
+                    (LockRequest::exclusive(lock), LockRequest::shared(lock))
+                }
+            };
+            let ctx = kind.label();
+            assert_eq!(
+                handle.locks_for(&pool, clobber, &write(5)),
+                vec![w],
+                "{ctx}"
+            );
+            assert_eq!(handle.locks_for(&pool, clobber, &read(5)), vec![r], "{ctx}");
+            let key_lock = 0x7000_0000_0000_0000u64 ^ 5u64.wrapping_mul(11);
+            for op in [write(5), read(5)] {
+                assert_eq!(
+                    handle.locks_for(&pool, Backend::Redo, &op),
+                    vec![LockRequest::exclusive(key_lock)],
+                    "{ctx}: redo conflicts at key granularity"
+                );
+            }
+        }
+    }
+
+    /// B+Tree inserts into a full leaf take the leaf plus the lock above
+    /// it: the tree's structure-modification lock when the leaf is the
+    /// root, the parent node's lock otherwise.
+    #[test]
+    fn bptree_split_locks_take_the_parent_or_the_tree_lock() {
+        let clobber = Backend::clobber();
+        let (pool, rt) = make_runtime(clobber, Scale::Quick);
+        let handle = DsHandle::create(DsKind::Bptree, &rt);
+        let DsHandle::B(tree) = handle else {
+            unreachable!()
+        };
+        let node_lock = |n: clobber_pmem::PAddr| tree.root().offset().wrapping_mul(31) ^ n.offset();
+        let smo = tree.root().offset().wrapping_mul(31);
+        let insert = |key: u64| KvOp::Insert {
+            key,
+            value: vec![0; 8],
+        };
+
+        // A full root leaf: splitting it grows the tree.
+        for k in 0..clobber_pds::bptree::CAP {
+            handle.exec(&rt, 0, &insert(k));
+        }
+        let (leaf, full, parent) = tree.locate_leaf_path(&pool, &key32(100)).unwrap();
+        assert!(full && parent.is_none());
+        assert_eq!(
+            handle.locks_for(&pool, clobber, &insert(100)),
+            vec![
+                LockRequest::exclusive(node_lock(leaf)),
+                LockRequest::exclusive(smo)
+            ]
+        );
+        // A read of a full leaf still shares the leaf alone.
+        assert_eq!(
+            handle.locks_for(&pool, clobber, &KvOp::Read { key: 100 }),
+            vec![LockRequest::shared(node_lock(leaf))]
+        );
+
+        // Split the root, then fill the right-hand leaf again: the next
+        // split takes the leaf's parent.
+        handle.exec(&rt, 0, &insert(100));
+        let mut k = 101;
+        loop {
+            let (_, full, parent) = tree.locate_leaf_path(&pool, &key32(k)).unwrap();
+            if full {
+                assert!(parent.is_some(), "the root split made an internal root");
+                break;
+            }
+            handle.exec(&rt, 0, &insert(k));
+            k += 1;
+        }
+        let (leaf, _, parent) = tree.locate_leaf_path(&pool, &key32(k)).unwrap();
+        let parent = parent.unwrap();
+        assert_eq!(
+            handle.locks_for(&pool, clobber, &insert(k)),
+            vec![
+                LockRequest::exclusive(node_lock(leaf)),
+                LockRequest::exclusive(node_lock(parent))
+            ]
         );
     }
 

@@ -225,7 +225,7 @@ pub fn run_scaling_cell(pool_mib: u64, slots: usize, workers: usize, seed: u64) 
                 .with_u64(base.offset())
                 .with_u64(SCALING_CELLS * slot as u64);
             s.spawn(move || {
-                rt.run_on(slot, "scaling_chain", &args).unwrap();
+                rt.run_on(slot, &[], "scaling_chain", &args).unwrap();
             });
         }
         rendezvous.wait();

@@ -5,8 +5,9 @@
 //! A zipf-skewed set/get population of simulated closed-loop clients
 //! drives the batched serve loop over the deterministic transport; the
 //! DES cost model prices each batch's persistence-counter delta in
-//! nanoseconds, making the simulated clock the latency oracle on a 1-CPU
-//! host. Each client count runs twice — batched group commit vs
+//! nanoseconds, making the simulated clock the *modeled* latency oracle
+//! (the host's 2 CPUs cannot run 32 clients and a server in parallel).
+//! Each client count runs twice — batched group commit vs
 //! per-request commit — so the figure shows the commit-fence amortization
 //! directly as fences/request.
 

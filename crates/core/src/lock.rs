@@ -5,8 +5,12 @@
 //! its whole lock set at begin and releases it at commit (§2.2), with
 //! per-bucket / per-leaf reader-writer locks letting disjoint transactions
 //! overlap. [`LockManager`] is the real-thread implementation of exactly
-//! the lock model `clobber_sim::run_des` simulates, so the DES cost model
-//! can serve as the oracle for measured scaling shape:
+//! the lock model `clobber_sim::run_des` simulates — the DES takes these
+//! same [`LockRequest`]s — so the DES cost model can serve as the oracle
+//! for measured scaling shape. Transactions reach it through one path,
+//! [`Runtime::run_on`](crate::Runtime::run_on), which acquires the whole
+//! set before the transaction starts and releases it after commit or
+//! abort; the persistent structures compute their own lock sets:
 //!
 //! * **Atomic whole-set acquisition.** [`acquire`](LockManager::acquire)
 //!   grants all of a request's locks at once or none — there is no
@@ -17,11 +21,11 @@
 //!   arrival is never granted a lock that an earlier queued waiter wants
 //!   (even a compatible shared grant queues behind a waiting writer), so
 //!   writers cannot starve behind a reader stream.
-//! * **Wait-die retry.** [`try_acquire`](LockManager::try_acquire) refuses
-//!   instead of waiting, returning [`TxError::LockConflict`] with the
-//!   first contended lock id; since refusal happens before the transaction
-//!   body runs, the caller can retry arbitrarily often with no persistent
-//!   side effects.
+//! * **Non-blocking probe.** [`try_acquire`](LockManager::try_acquire)
+//!   refuses instead of waiting, returning [`TxError::LockConflict`] with
+//!   the first contended lock id. No transaction path uses it — they all
+//!   wait — but the refusal and its counters stay pinned by the golden
+//!   counters.
 //! * **Upgrade denial.** [`LockGuard::try_upgrade`] converts a shared hold
 //!   to exclusive only when the guard is the lock's sole holder and no
 //!   queued waiter wants it (equivalent to having acquired exclusive at
@@ -55,7 +59,7 @@ use parking_lot::Mutex;
 use crate::error::TxError;
 
 /// Identifier of a lock (e.g. a bucket index namespaced by the structure's
-/// root address). The same id space `clobber_sim` models.
+/// root address). `clobber_sim` models locks with these same types.
 pub type LockId = u64;
 
 /// Lock acquisition mode.
@@ -305,9 +309,7 @@ impl LockManager {
 
     /// Grants the whole `set` immediately or refuses with
     /// [`TxError::LockConflict`] naming the first contended lock — never
-    /// waits, never barges past queued waiters. The wait-die building
-    /// block: refusal precedes any transaction work, so retry is always
-    /// safe.
+    /// waits, never barges past queued waiters.
     ///
     /// # Errors
     ///

@@ -224,7 +224,7 @@ impl Schedule {
         let mut report = ReplayReport::default();
         for op in &self.ops {
             report.ops_run += 1;
-            let outcome = rt.run_on(op.slot, &op.name, &op.args);
+            let outcome = rt.run_on(op.slot, &[], &op.name, &op.args);
             if let Some(event) = rt.pool().fault_tripped() {
                 report.tripped_at = Some(event);
                 break;

@@ -194,7 +194,7 @@ pub struct Runtime {
     /// Slot-index free list shared with every thread's [`SlotLease`].
     ledger: Arc<Mutex<SlotLedger>>,
     /// Per-node FIFO rw-locks for parallel transactions (conservative
-    /// 2PL, §2.2); see [`run_locked`](Runtime::run_locked).
+    /// 2PL, §2.2); see [`run_on`](Runtime::run_on).
     lock_mgr: LockManager,
     ido: Mutex<IdoAggregate>,
     write_probe: Mutex<Option<crate::tx::WriteProbe>>,
@@ -384,14 +384,24 @@ impl Runtime {
     }
 
     /// Runs the registered txfunc `name` failure-atomically on the calling
-    /// thread's slot.
+    /// thread's slot, taking no locks: [`run_on`](Runtime::run_on) with an
+    /// empty lock set.
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::Unregistered`] for unknown names, the txfunc's own
-    /// error on abort, and [`TxError::Pmem`] on substrate errors.
+    /// Same as [`run_on`](Runtime::run_on).
     pub fn run(&self, name: &str, args: &ArgList) -> TxResult {
-        self.run_on(self.thread_slot(), name, args)
+        self.run_on(self.thread_slot(), &[], name, args)
+    }
+
+    /// [`run_on`](Runtime::run_on) on the calling thread's slot: holds the
+    /// whole lock set `locks` from begin through commit or abort.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run_on`](Runtime::run_on).
+    pub fn run_locked(&self, locks: &[LockRequest], name: &str, args: &ArgList) -> TxResult {
+        self.run_on(self.thread_slot(), locks, name, args)
     }
 
     /// The calling thread's slot index: the cached lease if it already has
@@ -420,86 +430,36 @@ impl Runtime {
         })
     }
 
-    /// The runtime's lock manager. Most callers want the `*_locked` run
-    /// methods; structure code uses this directly when it needs custom
-    /// guard scopes (e.g. upgrades).
+    /// The runtime's lock manager. Transactions take their locks through
+    /// [`run_on`](Runtime::run_on); callers use the manager directly only
+    /// for guard scopes wider than one transaction.
     pub fn locks(&self) -> &LockManager {
         &self.lock_mgr
     }
 
-    /// Acquires the whole lock set `locks` (FIFO-fair, all-or-nothing),
-    /// runs txfunc `name`, and releases the locks after commit or abort —
-    /// the paper's conservative strong-strict 2PL (§2.2): locks at begin,
-    /// held to commit, so deterministic re-execution during recovery
-    /// replays a serializable history.
+    /// Runs the registered txfunc `name` on logical-thread slot `slot_idx`
+    /// under the whole lock set `locks` — the one path every transaction
+    /// takes. This is the paper's conservative strong-strict 2PL (§2.2):
+    /// the set is granted at once (FIFO-fair, all-or-nothing) before
+    /// anything else happens and released only after commit, abort or
+    /// error, so deterministic re-execution during recovery replays a
+    /// serializable history. An empty set skips the lock manager: no
+    /// `lock_*` counts, no lock trace events. Explicit slots let many
+    /// logical threads share one OS thread (the discrete-event executor).
     ///
     /// # Errors
     ///
-    /// Same as [`run`](Runtime::run); never [`TxError::LockConflict`]
-    /// (this form waits).
-    pub fn run_locked(&self, locks: &[LockRequest], name: &str, args: &ArgList) -> TxResult {
-        let _guard = self.lock_mgr.acquire(&self.pool, locks);
-        self.run(name, args)
-    }
-
-    /// [`run_locked`](Runtime::run_locked) on an explicit logical-thread
-    /// slot (the discrete-event executor's form).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_on`](Runtime::run_on).
-    pub fn run_on_locked(
+    /// Returns [`TxError::Unregistered`] for unknown names, the txfunc's own
+    /// error on abort, and [`TxError::Pmem`] on substrate errors; never
+    /// [`TxError::LockConflict`] (lock acquisition waits).
+    pub fn run_on(
         &self,
         slot_idx: usize,
         locks: &[LockRequest],
         name: &str,
         args: &ArgList,
     ) -> TxResult {
-        let _guard = self.lock_mgr.acquire(&self.pool, locks);
-        self.run_on(slot_idx, name, args)
-    }
-
-    /// Wait-die variant of [`run_locked`](Runtime::run_locked): if any
-    /// lock in the set is contended the request dies immediately with
-    /// [`TxError::LockConflict`] instead of waiting. The conflict is
-    /// raised before the transaction body runs — nothing was logged and
-    /// no state changed — so retrying is always safe and idempotent.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::LockConflict`] on contention, else same as
-    /// [`run`](Runtime::run).
-    pub fn try_run_locked(&self, locks: &[LockRequest], name: &str, args: &ArgList) -> TxResult {
-        let _guard = self.lock_mgr.try_acquire(&self.pool, locks)?;
-        self.run(name, args)
-    }
-
-    /// [`try_run_locked`](Runtime::try_run_locked) on an explicit
-    /// logical-thread slot (the discrete-event executor's form): wait-die
-    /// refusal raises [`TxError::LockConflict`] before the body runs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_run_locked`](Runtime::try_run_locked).
-    pub fn try_run_on_locked(
-        &self,
-        slot_idx: usize,
-        locks: &[LockRequest],
-        name: &str,
-        args: &ArgList,
-    ) -> TxResult {
-        let _guard = self.lock_mgr.try_acquire(&self.pool, locks)?;
-        self.run_on(slot_idx, name, args)
-    }
-
-    /// Runs the registered txfunc `name` on an explicit logical-thread slot
-    /// (used by the discrete-event executor, where many logical threads
-    /// share one OS thread).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Runtime::run).
-    pub fn run_on(&self, slot_idx: usize, name: &str, args: &ArgList) -> TxResult {
+        let _guard = (!locks.is_empty()).then(|| self.lock_mgr.acquire(&self.pool, locks));
         let f = self.lookup(name)?;
         let slot = self.slot(slot_idx)?;
         // TxBegin is recorded at dispatch, not at the durable begin record:

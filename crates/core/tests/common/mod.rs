@@ -504,7 +504,7 @@ pub fn parked_transfers(backend: Backend, assignments: &[(u64, u64, u64)]) -> Ve
         for (slot, &step) in assignments.iter().enumerate() {
             let rt = &rt;
             s.spawn(move || {
-                rt.run_on(slot, "parked_transfer", &transfer_args(base, step))
+                rt.run_on(slot, &[], "parked_transfer", &transfer_args(base, step))
                     .unwrap();
             });
             parked.wait(); // turnstile: the next slot starts after this one parks

@@ -125,7 +125,7 @@ fn threads_on_disjoint_slots_conserve_through_crash_and_recovery() {
                         .with_u64(from)
                         .with_u64(to)
                         .with_u64(amount);
-                    rt.run_on(t, "stress_transfer", &args).unwrap();
+                    rt.run_on(t, &[], "stress_transfer", &args).unwrap();
                 }
             });
         }

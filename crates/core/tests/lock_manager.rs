@@ -1,9 +1,9 @@
 //! Tentpole: true parallel transactions through the per-node FIFO
 //! rw-lock manager.
 //!
-//! These tests pin the runtime-level contracts: wait-die retry is
-//! idempotent (a refused `try_run_locked` leaves zero persistent trace),
-//! thread slots are leased and reused so slot usage is bounded by peak
+//! These tests pin the runtime-level contracts: a locked run releases its
+//! set on abort and an empty set never reaches the lock manager, thread
+//! slots are leased and reused so slot usage is bounded by peak
 //! concurrency, racing locked transfers over *shared* accounts conserve
 //! through adversarial crashes and recovery, locked committers push the
 //! group-commit fence saving past the PR's solo baseline of 2.64×, and
@@ -16,7 +16,9 @@ mod common;
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{ArgList, Backend, LockRequest, Runtime, RuntimeOptions, TxError};
-use clobber_pmem::{CrashConfig, FaultPlan, PAddr, PmemPool, PoolOptions, StatsSnapshot};
+use clobber_pmem::{
+    CrashConfig, EventKind, FaultPlan, PAddr, PmemPool, PoolOptions, StatsSnapshot,
+};
 use common::{register_transfer, reopen_with, sweep_recover_opts, total, ACCOUNTS, INITIAL};
 use proptest::prelude::*;
 
@@ -72,36 +74,68 @@ fn thread_slots_are_reused_after_thread_exit() {
     assert_eq!(rt.slot_count(), 2, "overlapping threads need two slots");
 }
 
-/// Wait-die is idempotent: while the lock set is contended,
-/// `try_run_locked` dies with `LockConflict` *before* any persistent
-/// effect — no begin record, no log entries, no balance change — so the
-/// retry after release commits exactly once.
+/// A locked run releases its whole set when the txfunc aborts: after a
+/// store and an `Err`, the manager is idle and the balances are the
+/// pre-transaction ones (the undo backend rolls the store back).
 #[test]
-fn wait_die_retry_is_idempotent() {
-    let (pool, rt, base) = common::setup(Backend::clobber());
-    let locks = [LockRequest::exclusive(0), LockRequest::exclusive(1)];
-    let args = transfer_args(base, (0, 1, 30));
-
-    let holder = rt.locks().acquire(&pool, &[LockRequest::exclusive(1)]);
-    let before = pool.stats().snapshot();
-    for attempt in 0..3 {
-        let err = rt.try_run_locked(&locks, "transfer", &args).unwrap_err();
-        assert_eq!(err, TxError::LockConflict { lock: 1 }, "attempt {attempt}");
-    }
-    let d = pool.stats().snapshot().delta(&before);
-    assert_eq!(d.log_entries, 0, "a dead request must log nothing");
-    assert_eq!(d.log_bytes, 0);
-    assert_eq!(d.writes, 0, "a dead request must write nothing");
-    assert_eq!(d.lock_conflicts, 3, "each refusal counts once");
-    assert_eq!(pool.read_u64(base).unwrap(), INITIAL, "balance untouched");
-    drop(holder);
-
-    // The retry is an ordinary first run: exactly one transfer commits.
-    rt.try_run_locked(&locks, "transfer", &args).unwrap();
-    assert_eq!(pool.read_u64(base).unwrap(), INITIAL - 30);
-    assert_eq!(pool.read_u64(base.add(8)).unwrap(), INITIAL + 30);
+fn locked_abort_releases_the_set_and_rolls_back() {
+    let (pool, rt, base) = common::setup(Backend::Undo);
+    rt.register("store_then_fail", |tx, args| {
+        let base = PAddr::new(args.u64(0)?);
+        tx.write_u64(base, 0)?;
+        Err(TxError::Aborted("refused after a store".into()))
+    });
+    let locks = [LockRequest::exclusive(0), LockRequest::shared(1)];
+    let err = rt
+        .run_locked(
+            &locks,
+            "store_then_fail",
+            &ArgList::new().with_u64(base.offset()),
+        )
+        .unwrap_err();
+    assert!(matches!(err, TxError::Aborted(_)), "{err:?}");
+    assert!(rt.locks().is_idle(), "abort must release the lock set");
+    assert_eq!(pool.read_u64(base).unwrap(), INITIAL, "store rolled back");
     assert_eq!(total(&pool, base), ACCOUNTS * INITIAL);
+    // The same set is free again for the next transaction.
+    rt.run_locked(&locks, "transfer", &transfer_args(base, (0, 1, 3)))
+        .unwrap();
+    assert_eq!(pool.read_u64(base).unwrap(), INITIAL - 3);
     assert!(rt.locks().is_idle());
+}
+
+/// An empty lock set never reaches the lock manager: no `lock_*` count
+/// moves and the trace holds no lock event.
+#[test]
+fn empty_lock_set_takes_no_grant() {
+    let (pool, rt, base) = common::setup(Backend::clobber());
+    let tracer = Arc::new(clobber_pmem::Tracer::new());
+    pool.set_tracer(Some(tracer.clone()));
+    let before = pool.stats().snapshot();
+    rt.run_on(0, &[], "transfer", &transfer_args(base, (0, 1, 3)))
+        .unwrap();
+    let d = pool.stats().snapshot().delta(&before);
+    pool.set_tracer(None);
+    assert_eq!(pool.read_u64(base).unwrap(), INITIAL - 3, "it committed");
+    assert_eq!(
+        (
+            d.lock_acquisitions,
+            d.lock_read_holds,
+            d.lock_write_holds,
+            d.lock_waits,
+            d.lock_conflicts
+        ),
+        (0, 0, 0, 0, 0)
+    );
+    let trace = tracer.take();
+    assert!(!trace.events.is_empty());
+    assert!(
+        !trace.events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::LockAcquire | EventKind::LockRelease | EventKind::LockConflict
+        )),
+        "an empty set records no lock event"
+    );
 }
 
 /// Racing locked transfers over **shared** accounts: every transaction
@@ -297,7 +331,7 @@ fn locked_committers_beat_the_group_commit_baseline() {
     );
 }
 
-/// Runs `script` single-threaded through `run_on_locked` (slot 0, both
+/// Runs `script` single-threaded through locked `run_on` (slot 0, both
 /// account locks per transfer) under a tracer and returns the trace.
 fn traced_locked_run(shards: u32, script: &[(u64, u64, u64)]) -> clobber_pmem::Trace {
     let (pool, rt, base) = common::setup_with(Backend::clobber(), shards);
@@ -308,7 +342,7 @@ fn traced_locked_run(shards: u32, script: &[(u64, u64, u64)]) -> clobber_pmem::T
             LockRequest::exclusive(f % ACCOUNTS),
             LockRequest::exclusive(t % ACCOUNTS),
         ];
-        rt.run_on_locked(0, &locks, "transfer", &transfer_args(base, (f, t, a)))
+        rt.run_on(0, &locks, "transfer", &transfer_args(base, (f, t, a)))
             .unwrap();
     }
     pool.set_tracer(None);

@@ -429,12 +429,14 @@ fn multiple_slots_recover_independently() {
     // via the trapless path, then crafting ongoing slots directly.
     rt.run_on(
         0,
+        &[],
         "set_cell",
         &ArgList::new().with_u64(c0.offset()).with_u64(10),
     )
     .unwrap();
     rt.run_on(
         1,
+        &[],
         "set_cell",
         &ArgList::new().with_u64(c1.offset()).with_u64(20),
     )
@@ -728,7 +730,7 @@ fn reopened_runtime_commits_on_adopted_and_new_slots() {
         let (pool, rt) = common::reopen(media, backend);
         assert!(rt.recover().unwrap().is_clean(), "round {round}");
         common::run_script(&rt, base).unwrap(); // slot 0: adopted
-        rt.run_on(1, "transfer", &args).unwrap(); // slot 1: new in round 0
+        rt.run_on(1, &[], "transfer", &args).unwrap(); // slot 1: new in round 0
         assert_eq!(
             common::total(&pool, base),
             common::ACCOUNTS * common::INITIAL,

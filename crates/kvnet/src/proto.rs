@@ -59,7 +59,10 @@ pub enum KvResponse {
     NotFound,
     /// Admission control shed the request; resubmit after backoff.
     Overloaded,
-    /// Wait-die refused a lock; resubmitting is always safe.
+    /// A lock was refused; resubmitting is always safe. The server no
+    /// longer sends it (its transactions wait for their locks); the
+    /// variant stays so the wire format and clients that match on it keep
+    /// working.
     Retry {
         /// The contended lock id.
         lock: u64,

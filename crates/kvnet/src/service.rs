@@ -4,22 +4,12 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use clobber_apps::KvServer;
+use clobber_apps::{key_id, KvServer};
 use clobber_nvm::{Runtime, TxError};
 use clobber_trace::EventKind;
 
 use crate::proto::{KvRequest, KvResponse};
 use crate::transport::{ConnId, Envelope};
-
-/// Collapses a key's bytes to the table's `u64` key id (the workload
-/// generator embeds the id in the first 8 bytes; shorter keys are
-/// zero-extended so arbitrary client keys stay valid).
-pub fn key_id(key: &[u8]) -> u64 {
-    let mut id = [0u8; 8];
-    let n = key.len().min(8);
-    id[..n].copy_from_slice(&key[..n]);
-    u64::from_le_bytes(id)
-}
 
 /// The KV service: a [`KvServer`] plus the batching and snapshot-read
 /// machinery the serve loop drives.

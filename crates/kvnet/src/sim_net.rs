@@ -7,9 +7,9 @@
 //! crash injected mid-batch — is bit-deterministic across pool engines and
 //! replayable through the trace/explorer stack. Service time comes from the
 //! serve loop's cost model (the per-batch persistence-counter delta priced
-//! in nanoseconds), which is what makes this the tail-latency oracle on a
-//! 1-CPU host: the simulated clock measures fences and log traffic, not
-//! wall time.
+//! in nanoseconds), which makes this the *modeled* tail-latency oracle:
+//! the simulated clock measures fences and log traffic, not wall time, so
+//! its results do not depend on the host's 2 CPUs or their load.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -5,7 +5,7 @@
 //! key and the value to the leaf nodes" with 32-byte keys (§5.2) — it is
 //! the structure that scales best in Fig. 6 because independent inserts
 //! touch disjoint leaves. Structure modifications (splits) additionally
-//! take a tree-level lock in the simulated-lock model.
+//! take the node above the leaf ([`BpTree::locks_for`]).
 //!
 //! Node layout (8-key nodes, 512-byte blocks):
 //!
@@ -21,7 +21,7 @@
 
 use std::cmp::Ordering;
 
-use clobber_nvm::{ArgList, Runtime, Tx, TxError};
+use clobber_nvm::{ArgList, LockRequest, Runtime, Tx, TxError};
 use clobber_pmem::{PAddr, PmemPool};
 
 use crate::value::{cmp_key32, key32, store_value};
@@ -403,7 +403,7 @@ impl BpTree {
         key: &[u8],
         value: &[u8],
     ) -> Result<(), TxError> {
-        rt.run_on(slot, TX_INSERT, &self.args_key(key).with_bytes(value))?;
+        rt.run_on(slot, &[], TX_INSERT, &self.args_key(key).with_bytes(value))?;
         Ok(())
     }
 
@@ -436,7 +436,7 @@ impl BpTree {
         slot: usize,
         key: u64,
     ) -> Result<Option<Vec<u8>>, TxError> {
-        rt.run_on(slot, TX_GET, &self.args_key(&key32(key)))
+        rt.run_on(slot, &[], TX_GET, &self.args_key(&key32(key)))
     }
 
     /// Removes a 32-byte key; returns `true` if present.
@@ -449,9 +449,7 @@ impl BpTree {
     }
 
     /// Finds the leaf that would hold `key` plus whether inserting would
-    /// split it — the information the simulated-lock model needs to build
-    /// the per-leaf lock set *before* executing (read-only, no locking
-    /// needed: the discrete-event executor runs operations one at a time).
+    /// split it (read-only, outside any transaction).
     ///
     /// # Errors
     ///
@@ -462,8 +460,8 @@ impl BpTree {
     }
 
     /// Like [`locate_leaf`](Self::locate_leaf) but also returns the leaf's
-    /// parent (`None` when the leaf is the root) — the lock a hand-over-hand
-    /// split acquires in addition to the leaf.
+    /// parent (`None` when the leaf is the root) — what
+    /// [`locks_for`](Self::locks_for) builds the lock set from.
     pub fn locate_leaf_path(
         &self,
         pool: &PmemPool,
@@ -498,14 +496,44 @@ impl BpTree {
         }
     }
 
+    /// The lock set one operation on `key` holds, from the tree as it is
+    /// now (read-only, no locking needed: the discrete-event executor runs
+    /// operations one at a time). A read shares the key's leaf. A write
+    /// excludes the leaf; when the leaf is full the insert splits it, so
+    /// the set also excludes the node above — the parent (hand-over-hand
+    /// split), or the tree-level structure-modification lock when the leaf
+    /// is the root itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TxError::Pmem`] on a corrupt tree.
+    pub fn locks_for(
+        &self,
+        pool: &PmemPool,
+        key: &[u8],
+        write: bool,
+    ) -> Result<Vec<LockRequest>, TxError> {
+        let (leaf, full, parent) = self.locate_leaf_path(pool, key)?;
+        let leaf = crate::rw_lock(self.node_lock(leaf), write);
+        if !(write && full) {
+            return Ok(vec![leaf]);
+        }
+        let upper = match parent {
+            Some(p) => self.node_lock(p),
+            None => self.smo_lock(),
+        };
+        Ok(vec![leaf, LockRequest::exclusive(upper)])
+    }
+
     /// The tree-level structure-modification lock id.
-    pub fn smo_lock(&self) -> u64 {
+    fn smo_lock(&self) -> u64 {
         self.root.offset().wrapping_mul(31)
     }
 
-    /// The per-leaf lock id for `leaf`.
-    pub fn leaf_lock(&self, leaf: PAddr) -> u64 {
-        self.root.offset().wrapping_mul(31) ^ leaf.offset()
+    /// The per-node lock id for `node` (a leaf or, during a split, its
+    /// parent).
+    fn node_lock(&self, node: PAddr) -> u64 {
+        self.root.offset().wrapping_mul(31) ^ node.offset()
     }
 
     /// Range scan: up to `count` key/value pairs with keys `>= start`, in
@@ -783,6 +811,6 @@ mod tests {
         let (l1, _) = t.locate_leaf(&pool, &key32(0)).unwrap();
         let (l2, _) = t.locate_leaf(&pool, &key32(99)).unwrap();
         assert_ne!(l1, l2);
-        assert_ne!(t.leaf_lock(l1), t.leaf_lock(l2));
+        assert_ne!(t.node_lock(l1), t.node_lock(l2));
     }
 }

@@ -203,7 +203,7 @@ impl HashMap {
         key: u64,
         value: &[u8],
     ) -> Result<(), TxError> {
-        rt.run_on(slot, TX_INSERT, &self.args(key).with_bytes(value))?;
+        rt.run_on(slot, &[], TX_INSERT, &self.args(key).with_bytes(value))?;
         Ok(())
     }
 
@@ -222,7 +222,7 @@ impl HashMap {
     ///
     /// Returns [`TxError`] on substrate failure.
     pub fn get_on(&self, rt: &Runtime, slot: usize, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        rt.run_on(slot, TX_GET, &self.args(key))
+        rt.run_on(slot, &[], TX_GET, &self.args(key))
     }
 
     /// Removes `key`; returns `true` if it was present.
@@ -234,10 +234,24 @@ impl HashMap {
         Ok(rt.run(TX_REMOVE, &self.args(key))? == Some(vec![1]))
     }
 
-    /// The rwlock protecting `key`'s bucket (for the discrete-event
-    /// executor); lock ids are namespaced by the root address.
+    /// The rwlock protecting `key`'s bucket; lock ids are namespaced by
+    /// the root address.
     pub fn lock_of(&self, key: u64) -> u64 {
         self.root.offset().wrapping_mul(31) + bucket_of(key)
+    }
+
+    /// The lock one single-key operation on `key` holds: its bucket lock,
+    /// exclusive for a write and shared for a read (the paper's per-bucket
+    /// rwlocks, §5.2).
+    pub fn lock_for(&self, key: u64, write: bool) -> LockRequest {
+        crate::rw_lock(self.lock_of(key), write)
+    }
+
+    /// One exclusive lock over the whole table (the coarse scheme a
+    /// server can swap in for the bucket locks); namespaced by the root
+    /// address apart from every bucket lock.
+    pub fn table_lock(&self) -> LockRequest {
+        LockRequest::exclusive(self.root.offset().wrapping_mul(97))
     }
 
     /// Thread-safe [`insert`](HashMap::insert): takes `key`'s bucket lock
@@ -253,7 +267,7 @@ impl HashMap {
     /// [`LockManager`]: clobber_nvm::LockManager
     pub fn insert_sync(&self, rt: &Runtime, key: u64, value: &[u8]) -> Result<(), TxError> {
         rt.run_locked(
-            &[LockRequest::exclusive(self.lock_of(key))],
+            &[self.lock_for(key, true)],
             TX_INSERT,
             &self.args(key).with_bytes(value),
         )?;
@@ -261,10 +275,10 @@ impl HashMap {
     }
 
     /// The exclusive bucket-lock set covering every key in `keys`,
-    /// deduplicated (keys sharing a bucket share a lock). Feed the result
-    /// to [`Runtime::run_locked`] / [`Runtime::run_on_locked`] along with a
-    /// [`TX_BATCH_SET`] argument list; the lock manager sorts the set, so
-    /// whole-batch acquisition stays deadlock-free against other batches.
+    /// deduplicated (keys sharing a bucket share a lock) — the set
+    /// [`insert_batch_on`](HashMap::insert_batch_on) runs under. The lock
+    /// manager sorts the set, so whole-batch acquisition stays
+    /// deadlock-free against other batches.
     pub fn batch_locks(&self, keys: &[u64]) -> Vec<LockRequest> {
         let mut ids: Vec<u64> = keys.iter().map(|&k| self.lock_of(k)).collect();
         ids.sort_unstable();
@@ -281,8 +295,8 @@ impl HashMap {
     ///
     /// # Errors
     ///
-    /// Returns [`TxError::LockConflict`] (before the body runs — safe to
-    /// retry) under wait-die refusal, or any substrate error.
+    /// Returns [`TxError`] on substrate failure. The locks are waited
+    /// for, never refused.
     pub fn insert_batch_on(
         &self,
         rt: &Runtime,
@@ -296,7 +310,7 @@ impl HashMap {
         for (k, v) in pairs {
             args = args.with_u64(*k).with_bytes(v);
         }
-        rt.run_on_locked(slot, &self.batch_locks(&keys), TX_BATCH_SET, &args)?;
+        rt.run_on(slot, &self.batch_locks(&keys), TX_BATCH_SET, &args)?;
         Ok(())
     }
 
@@ -336,11 +350,7 @@ impl HashMap {
     ///
     /// Returns [`TxError`] on substrate failure.
     pub fn get_sync(&self, rt: &Runtime, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        rt.run_locked(
-            &[LockRequest::shared(self.lock_of(key))],
-            TX_GET,
-            &self.args(key),
-        )
+        rt.run_locked(&[self.lock_for(key, false)], TX_GET, &self.args(key))
     }
 
     /// Thread-safe [`remove`](HashMap::remove): exclusive bucket lock.
@@ -349,11 +359,10 @@ impl HashMap {
     ///
     /// Returns [`TxError`] on substrate failure.
     pub fn remove_sync(&self, rt: &Runtime, key: u64) -> Result<bool, TxError> {
-        Ok(rt.run_locked(
-            &[LockRequest::exclusive(self.lock_of(key))],
-            TX_REMOVE,
-            &self.args(key),
-        )? == Some(vec![1]))
+        Ok(
+            rt.run_locked(&[self.lock_for(key, true)], TX_REMOVE, &self.args(key))?
+                == Some(vec![1]),
+        )
     }
 
     /// Walks all buckets, checking chain sanity, and returns every

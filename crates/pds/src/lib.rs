@@ -8,6 +8,11 @@
 //! under any [`clobber_nvm::Backend`] and recoverable by re-execution
 //! under the clobber backend.
 //!
+//! Each structure also owns its locking scheme: a `lock_for`/`locks_for`
+//! method computes the lock set of one operation, which its own `*_sync`
+//! methods run under and which the benchmark harness and the KV server
+//! feed to the discrete-event executor.
+//!
 //! Each structure ships a `dump` checker that validates its full structural
 //! invariants by reading the pool directly — the oracle the crash tests and
 //! property tests compare against.
@@ -28,3 +33,15 @@ pub use hashmap::HashMap;
 pub use rbtree::RbTree;
 pub use skiplist::SkipList;
 pub use workload::ExploreWorkload;
+
+use clobber_nvm::LockRequest;
+
+/// `lock` in the mode an operation needs: exclusive for a write, shared
+/// for a read (the paper's reader-writer locks, §5.2).
+pub(crate) fn rw_lock(lock: u64, write: bool) -> LockRequest {
+    if write {
+        LockRequest::exclusive(lock)
+    } else {
+        LockRequest::shared(lock)
+    }
+}

@@ -10,7 +10,7 @@
 //! node:       [key][val_ptr][val_len][color][left][right][parent]
 //! ```
 
-use clobber_nvm::{ArgList, Runtime, Tx, TxError};
+use clobber_nvm::{ArgList, LockRequest, Runtime, Tx, TxError};
 use clobber_pmem::{PAddr, PmemPool};
 
 use crate::value::store_value;
@@ -490,7 +490,7 @@ impl RbTree {
         key: u64,
         value: &[u8],
     ) -> Result<(), TxError> {
-        rt.run_on(slot, TX_INSERT, &self.args(key).with_bytes(value))?;
+        rt.run_on(slot, &[], TX_INSERT, &self.args(key).with_bytes(value))?;
         Ok(())
     }
 
@@ -509,7 +509,7 @@ impl RbTree {
     ///
     /// Returns [`TxError`] on substrate failure.
     pub fn get_on(&self, rt: &Runtime, slot: usize, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        rt.run_on(slot, TX_GET, &self.args(key))
+        rt.run_on(slot, &[], TX_GET, &self.args(key))
     }
 
     /// Removes `key`; returns `true` if present.
@@ -521,9 +521,10 @@ impl RbTree {
         Ok(rt.run(TX_REMOVE, &self.args(key))? == Some(vec![1]))
     }
 
-    /// The tree's global rwlock id.
-    pub fn lock(&self) -> u64 {
-        self.root.offset().wrapping_mul(31)
+    /// The lock one operation holds: the tree's global rwlock, exclusive
+    /// for a write and shared for a read.
+    pub fn lock_for(&self, write: bool) -> LockRequest {
+        crate::rw_lock(self.root.offset().wrapping_mul(31), write)
     }
 
     /// Full red-black invariant check (BST order, red nodes have black

@@ -218,7 +218,7 @@ impl SkipList {
         key: u64,
         value: &[u8],
     ) -> Result<(), TxError> {
-        rt.run_on(slot, TX_INSERT, &self.args(key).with_bytes(value))?;
+        rt.run_on(slot, &[], TX_INSERT, &self.args(key).with_bytes(value))?;
         Ok(())
     }
 
@@ -237,7 +237,7 @@ impl SkipList {
     ///
     /// Returns [`TxError`] on substrate failure.
     pub fn get_on(&self, rt: &Runtime, slot: usize, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        rt.run_on(slot, TX_GET, &self.args(key))
+        rt.run_on(slot, &[], TX_GET, &self.args(key))
     }
 
     /// Removes `key`; returns `true` if present.
@@ -249,9 +249,11 @@ impl SkipList {
         Ok(rt.run(TX_REMOVE, &self.args(key))? == Some(vec![1]))
     }
 
-    /// The global lock id (the paper uses a single lock for the skiplist).
-    pub fn lock(&self) -> u64 {
-        self.root.offset().wrapping_mul(31)
+    /// The lock one operation holds: the structure's single rwlock (the
+    /// paper uses one lock for the skiplist), exclusive for a write and
+    /// shared for a read.
+    pub fn lock_for(&self, write: bool) -> LockRequest {
+        crate::rw_lock(self.root.offset().wrapping_mul(31), write)
     }
 
     /// Thread-safe [`insert`](SkipList::insert): takes the structure's
@@ -266,7 +268,7 @@ impl SkipList {
     /// [`LockManager`]: clobber_nvm::LockManager
     pub fn insert_sync(&self, rt: &Runtime, key: u64, value: &[u8]) -> Result<(), TxError> {
         rt.run_locked(
-            &[LockRequest::exclusive(self.lock())],
+            &[self.lock_for(true)],
             TX_INSERT,
             &self.args(key).with_bytes(value),
         )?;
@@ -280,7 +282,7 @@ impl SkipList {
     ///
     /// Returns [`TxError`] on substrate failure.
     pub fn get_sync(&self, rt: &Runtime, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        rt.run_locked(&[LockRequest::shared(self.lock())], TX_GET, &self.args(key))
+        rt.run_locked(&[self.lock_for(false)], TX_GET, &self.args(key))
     }
 
     /// Thread-safe [`remove`](SkipList::remove): exclusive global lock.
@@ -289,11 +291,7 @@ impl SkipList {
     ///
     /// Returns [`TxError`] on substrate failure.
     pub fn remove_sync(&self, rt: &Runtime, key: u64) -> Result<bool, TxError> {
-        Ok(rt.run_locked(
-            &[LockRequest::exclusive(self.lock())],
-            TX_REMOVE,
-            &self.args(key),
-        )? == Some(vec![1]))
+        Ok(rt.run_locked(&[self.lock_for(true)], TX_REMOVE, &self.args(key))? == Some(vec![1]))
     }
 
     /// Range scan: up to `count` pairs with keys `>= start`, in order,

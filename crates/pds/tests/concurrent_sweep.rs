@@ -10,7 +10,7 @@
 //!   every surviving key holding exactly its canonical value — at shards
 //!   1 and 4.
 //! * **Deterministic 2-lane sweep** — a fixed interleaved schedule over
-//!   *both* structures through `run_on_locked`, crashed at every strided
+//!   *both* structures through locked `run_on`, crashed at every strided
 //!   persist event; the recovered media must be byte-identical at shard
 //!   counts 1 and 4 (the determinism contract extended to locked
 //!   transactions), and a second
@@ -28,8 +28,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 
 use clobber_nvm::{
-    ArgList, Backend, ExploreOptions, Explorer, LockRequest, Runtime, RuntimeOptions, Schedule,
-    TxError,
+    ArgList, Backend, ExploreOptions, Explorer, Runtime, RuntimeOptions, Schedule, TxError,
 };
 use clobber_pds::workload::{value_of, ExploreWorkload};
 use clobber_pds::{hashmap, skiplist, HashMap, SkipList};
@@ -259,28 +258,23 @@ fn run_two_lane(rt: &Runtime, map: &HashMap, sl: &SkipList) -> Result<(), TxErro
     let key_args =
         |root: clobber_pmem::PAddr, k: u64| ArgList::new().with_u64(root.offset()).with_u64(k);
     for k in [1u64, 2, 3] {
-        rt.run_on_locked(
-            0,
-            &[LockRequest::exclusive(map.lock_of(k))],
-            hashmap::TX_INSERT,
-            &hm_args(k),
-        )?;
-        rt.run_on_locked(
+        rt.run_on(0, &[map.lock_for(k, true)], hashmap::TX_INSERT, &hm_args(k))?;
+        rt.run_on(
             1,
-            &[LockRequest::exclusive(sl.lock())],
+            &[sl.lock_for(true)],
             skiplist::TX_INSERT,
             &sl_args(10 * k),
         )?;
     }
-    rt.run_on_locked(
+    rt.run_on(
         0,
-        &[LockRequest::exclusive(map.lock_of(1))],
+        &[map.lock_for(1, true)],
         hashmap::TX_REMOVE,
         &key_args(map.root(), 1),
     )?;
-    rt.run_on_locked(
+    rt.run_on(
         1,
-        &[LockRequest::exclusive(sl.lock())],
+        &[sl.lock_for(true)],
         skiplist::TX_REMOVE,
         &key_args(sl.root(), 10),
     )?;

@@ -1,7 +1,7 @@
 //! Deterministic discrete-event executor.
 //!
-//! Reproduces the paper's thread-scaling experiments on a single physical
-//! core: logical threads acquire *simulated* reader-writer locks in the
+//! Reproduces the paper's thread-scaling experiments on one host thread:
+//! logical threads acquire *simulated* reader-writer locks in the
 //! paper's conservative strong-strict-2PL style (all locks at transaction
 //! begin, released at commit, §2.2), operations execute **for real** against
 //! the runtime — one at a time on the host thread, in simulated-lock-grant
@@ -15,44 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
-/// Identifier of a simulated lock (e.g. a bucket index or leaf id).
-pub type LockId = u64;
-
-/// Lock acquisition mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockMode {
-    /// Reader-writer shared acquisition.
-    Shared,
-    /// Exclusive acquisition.
-    Exclusive,
-}
-
-/// One lock needed by an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockRequest {
-    /// Which lock.
-    pub lock: LockId,
-    /// How it is held.
-    pub mode: LockMode,
-}
-
-impl LockRequest {
-    /// Exclusive request.
-    pub fn exclusive(lock: LockId) -> LockRequest {
-        LockRequest {
-            lock,
-            mode: LockMode::Exclusive,
-        }
-    }
-
-    /// Shared request.
-    pub fn shared(lock: LockId) -> LockRequest {
-        LockRequest {
-            lock,
-            mode: LockMode::Shared,
-        }
-    }
-}
+use clobber_nvm::{LockId, LockMode, LockRequest};
 
 /// One simulated operation: the locks it holds for its duration, and a
 /// closure that performs the real work and returns the simulated duration

@@ -1,9 +1,10 @@
 //! Deterministic thread-scaling substrate for the Clobber-NVM reproduction.
 //!
-//! The paper's evaluation ran on a 2×24-core Optane testbed; this
-//! environment has one core, so multi-threaded throughput (Figs. 6 and 10)
-//! is reproduced with a discrete-event executor ([`des`]) over simulated
-//! reader-writer locks, and a persistence [`cost`] model that converts each
+//! The paper's evaluation ran on a 2×24-core Optane testbed; the
+//! reproduction host has 2 CPUs, far too few to show scaling to 24 threads
+//! by wall clock, so multi-threaded throughput (Figs. 6 and 10) is
+//! *modeled*: a discrete-event executor ([`des`]) over simulated
+//! reader-writer locks (the lock types of `clobber_nvm`'s `LockManager`), and a persistence [`cost`] model that converts each
 //! operation's counted flushes/fences/logged bytes into simulated time.
 //! Operations still execute for real against the runtime — only *time* and
 //! *concurrency* are simulated. See DESIGN.md for the substitution
@@ -15,4 +16,4 @@ pub mod cost;
 pub mod des;
 
 pub use cost::CostModel;
-pub use des::{run_des, DesResult, LockId, LockMode, LockRequest, OpSource, SimOp};
+pub use des::{run_des, DesResult, OpSource, SimOp};

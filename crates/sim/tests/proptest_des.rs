@@ -2,7 +2,8 @@
 
 use std::collections::VecDeque;
 
-use clobber_sim::{run_des, LockMode, LockRequest, OpSource, SimOp};
+use clobber_nvm::{LockMode, LockRequest};
+use clobber_sim::{run_des, OpSource, SimOp};
 use proptest::prelude::*;
 
 /// One scripted operation: lock id, mode, duration.
